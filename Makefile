@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race chaos verify bench benchcmp bench-quick bench-shards bench-parallel profile experiments
+.PHONY: all build test vet race chaos verify bench benchcmp bench-quick bench-shards bench-parallel profile experiments ledger ledger-test
 
 all: verify
 
@@ -20,7 +20,7 @@ test:
 
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/...
+	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/... ./internal/mpi/...
 	# Multi-shard soak: the whole quick suite on a 4-way sharded kernel
 	# with concurrent sweep points, under the race detector.
 	HPCBD_SHARDS=4 $(GO) test -race -short -count=1 .
@@ -28,7 +28,7 @@ race:
 	# Parallel-dispatch soak: window execution with 4 workers on the
 	# 4-way sharded kernel — the race detector sees every gang worker
 	# touch the shard heaps, inboxes and op logs.
-	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/sim/... ./internal/exec/... ./internal/cluster/...
+	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/mpi/...
 	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -short -count=1 .
 	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=1 ./internal/core/...
 
@@ -82,6 +82,15 @@ bench-parallel:
 	for w in 1 2 4 8; do \
 		$(GO) run ./cmd/answerscount-bench -quick -shards 4 -workers $$w -scale -scale-max 4000 || exit 1; \
 	done
+
+# The repo's benchmark (BENCHMARK.json): every ledger workload end to end,
+# and the ledger's own tests — a nested module, so `go test ./...` from
+# the root does not descend into it.
+ledger:
+	bash ledger/run.sh -workload all
+
+ledger-test:
+	cd ledger && $(GO) test -short ./...
 
 # Host CPU and allocation profiles of the full-scale PageRank and
 # AnswersCount regenerations — the starting point for perf work.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -56,6 +57,22 @@ func TestFig4ShapeAndAgreement(t *testing.T) {
 	fig, results := Fig4(o)
 	if v := CheckFig4(fig, results, o.ACBytes); len(v) != 0 {
 		t.Errorf("fig4 violations: %v\n%s", v, fig)
+	}
+}
+
+// TestFig4LeavesNoGoroutines: every kernel a figure builds reclaims its
+// coroutines when Run returns, so regenerating a figure again and again
+// (the ledger's passes, a long sweep) holds the goroutine count flat
+// instead of parking a few hundred more per call.
+func TestFig4LeavesNoGoroutines(t *testing.T) {
+	o := Quick()
+	Fig4(o) // starts the process-wide worker pool, which stays
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		Fig4(o)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after three more Fig4 runs, %d after the first", n, base)
 	}
 }
 

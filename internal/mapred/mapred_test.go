@@ -3,6 +3,7 @@ package mapred
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -204,13 +205,16 @@ func TestReduceGroupingProperty(t *testing.T) {
 		}
 		k := sim.NewKernel(seed)
 		c := cluster.Comet(k, 3)
+		var mu sync.Mutex // reduce payloads of different partitions run on the host worker pool concurrently
 		seen := map[int]int{}
 		job := &Job[int, int, int64]{
 			Cluster: c, Fabric: cluster.IPoIB(), Name: "p",
 			Input: &sliceInput{c: c, recs: recs, splits: 3, bytes: 3 << 20},
 			Map:   func(in int, emit func(int, int64)) { emit(in, 1) },
 			Reduce: func(key int, vals []int64, emit func(int, int64)) {
+				mu.Lock()
 				seen[key]++
+				mu.Unlock()
 				var s int64
 				for _, v := range vals {
 					s += v

@@ -1,6 +1,10 @@
 package mpi
 
-import "time"
+import (
+	"time"
+
+	"hpcbd/internal/scratch"
+)
 
 // Collective tags live in a reserved space above user tags.
 const (
@@ -105,30 +109,55 @@ func (c *Comm) Reduce(r *Rank, root int, data []float64, op ReduceOp, elemBytes 
 	rel := (me - root + n) % n
 	bytes := int64(len(data)) * elemBytes
 
-	acc := make([]float64, len(data))
-	copy(acc, data)
+	// Only the root's accumulator outlives the call; everyone else's
+	// leaves with its message and is recycled by the rank that combines it.
+	var acc []float64
+	var accp *[]float64
+	if me == root {
+		acc = make([]float64, len(data))
+		copy(acc, data)
+	} else {
+		accp = snapshot(data)
+		acc = *accp
+	}
 	cm := r.cost()
 
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
 			// Send accumulator to the partner below and exit.
-			c.Send(r, ((rel-mask)+root)%n, tagReduce+mask, acc, bytes)
+			c.Send(r, ((rel-mask)+root)%n, tagReduce+mask, accp, bytes)
 			return nil
 		}
 		partner := rel | mask
 		if partner < n {
 			m := c.Recv(r, (partner+root)%n, tagReduce+mask)
-			other := m.Payload.([]float64)
-			for i := range acc {
-				acc[i] = op(acc[i], other[i])
-			}
-			r.p.Sleep(time.Duration(len(acc)) * cm.ReduceFlopTime)
+			combine(r, acc, m.Payload.(*[]float64), op, cm.ReduceFlopTime)
 		}
 	}
-	if me == root {
-		return acc
+	return acc // rel == 0: only the root never sends
+}
+
+// Payloads travel by reference in the simulator, so what a reduction
+// sends is a pooled snapshot that travels with its message: the sender
+// does not touch it after Send, and the receiver returns it to the pool
+// once used. A *[]float64 also boxes into Message.Payload without
+// allocating, which a slice header does not.
+
+// snapshot copies v into a pooled buffer for sending.
+func snapshot(v []float64) *[]float64 {
+	p := scratch.F64(len(v))
+	copy(*p, v)
+	return p
+}
+
+// combine folds a received snapshot into acc element-wise (acc = op(acc,
+// other)), charges the arithmetic to the rank and recycles the snapshot.
+func combine(r *Rank, acc []float64, other *[]float64, op ReduceOp, flop time.Duration) {
+	for i, v := range *other {
+		acc[i] = op(acc[i], v)
 	}
-	return nil
+	scratch.PutF64(other)
+	r.p.Sleep(time.Duration(len(acc)) * flop)
 }
 
 // Allreduce combines data across all ranks and returns the result
@@ -171,41 +200,32 @@ func (c *Comm) rdAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64
 	}
 	rem := n - pof2
 
-	combine := func(other []float64) {
-		for i := range acc {
-			acc[i] = op(acc[i], other[i])
-		}
-		r.p.Sleep(time.Duration(len(acc)) * cm.ReduceFlopTime)
-	}
-
-	// Payloads travel by reference in the simulator, so anything sent
-	// while acc is still being mutated must be a snapshot.
-	snapshot := func() []float64 { return append([]float64(nil), acc...) }
-
 	// Pre-phase: ranks >= pof2 send their data into the power-of-two set.
 	newRank := me
 	if me >= pof2 {
-		c.Send(r, me-pof2, tagReduce, snapshot(), bytes)
+		c.Send(r, me-pof2, tagReduce, snapshot(acc), bytes)
 		newRank = -1
 	} else if me < rem {
 		m := c.Recv(r, me+pof2, tagReduce)
-		combine(m.Payload.([]float64))
+		combine(r, acc, m.Payload.(*[]float64), op, cm.ReduceFlopTime)
 	}
 
 	if newRank >= 0 {
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := newRank ^ mask
-			m := c.Sendrecv(r, partner, tagReduce+mask, snapshot(), bytes, partner, tagReduce+mask)
-			combine(m.Payload.([]float64))
+			m := c.Sendrecv(r, partner, tagReduce+mask, snapshot(acc), bytes, partner, tagReduce+mask)
+			combine(r, acc, m.Payload.(*[]float64), op, cm.ReduceFlopTime)
 		}
 	}
 
 	// Post-phase: results flow back out to the folded ranks.
 	if me >= pof2 {
 		m := c.Recv(r, me-pof2, tagReduce+1<<27)
-		copy(acc, m.Payload.([]float64))
+		res := m.Payload.(*[]float64)
+		copy(acc, *res)
+		scratch.PutF64(res)
 	} else if me < rem {
-		c.Send(r, me+pof2, tagReduce+1<<27, acc, bytes)
+		c.Send(r, me+pof2, tagReduce+1<<27, snapshot(acc), bytes)
 	}
 	return acc
 }
@@ -235,22 +255,17 @@ func (c *Comm) ringAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int
 	for step := 0; step < n-1; step++ {
 		sendIdx := (me - step + n) % n
 		recvIdx := (me - step - 1 + n) % n
-		sendCopy := append([]float64(nil), chunk(sendIdx)...)
-		m := c.Sendrecv(r, next, tagRing+step, sendCopy, chunkBytes(sendIdx), prev, tagRing+step)
-		in := m.Payload.([]float64)
-		dst := chunk(recvIdx)
-		for i := range dst {
-			dst[i] = op(dst[i], in[i])
-		}
-		r.p.Sleep(time.Duration(len(dst)) * cm.ReduceFlopTime)
+		m := c.Sendrecv(r, next, tagRing+step, snapshot(chunk(sendIdx)), chunkBytes(sendIdx), prev, tagRing+step)
+		combine(r, chunk(recvIdx), m.Payload.(*[]float64), op, cm.ReduceFlopTime)
 	}
 	// Allgather.
 	for step := 0; step < n-1; step++ {
 		sendIdx := (me + 1 - step + n) % n
 		recvIdx := (me - step + n) % n
-		sendCopy := append([]float64(nil), chunk(sendIdx)...)
-		m := c.Sendrecv(r, next, tagRing+(1<<20)+step, sendCopy, chunkBytes(sendIdx), prev, tagRing+(1<<20)+step)
-		copy(chunk(recvIdx), m.Payload.([]float64))
+		m := c.Sendrecv(r, next, tagRing+(1<<20)+step, snapshot(chunk(sendIdx)), chunkBytes(sendIdx), prev, tagRing+(1<<20)+step)
+		in := m.Payload.(*[]float64)
+		copy(chunk(recvIdx), *in)
+		scratch.PutF64(in)
 	}
 	return acc
 }

@@ -6,23 +6,26 @@ import (
 )
 
 // Comm is a communicator: an ordered group of world ranks with an isolated
-// message-matching context.
+// message-matching context. A Comm is immutable once built, so Dup shares
+// its parent's group and index.
 type Comm struct {
 	world *World
-	group []int // comm rank -> world rank
-	cid   int   // context id salting message matching
+	group []int       // comm rank -> world rank
+	index map[int]int // world rank -> comm rank; nil for the world communicator, where the two coincide
+	cid   int         // context id salting message matching
 }
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// rankOf translates a world rank to its comm rank; panics if r is not a
-// member.
+// rankOf translates a world rank to its comm rank in constant time —
+// every Send and collective starts here; panics if r is not a member.
 func (c *Comm) rankOf(r *Rank) int {
-	for i, wr := range c.group {
-		if wr == r.rank {
-			return i
-		}
+	if c.index == nil {
+		return r.rank
+	}
+	if i, ok := c.index[r.rank]; ok {
+		return i
 	}
 	panic(fmt.Sprintf("mpi: rank %d is not in communicator %d", r.rank, c.cid))
 }
@@ -57,8 +60,10 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 		return mine[i].rank < mine[j].rank
 	})
 	group := make([]int, len(mine))
+	index := make(map[int]int, len(mine))
 	for i, se := range mine {
 		group[i] = c.group[se.rank]
+		index[group[i]] = i
 	}
 	// Context ids must agree across members: derive deterministically
 	// from the parent cid and color. The world allocator is advanced so
@@ -67,13 +72,11 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	if cid >= c.world.nextCID {
 		c.world.nextCID = cid + 1
 	}
-	return &Comm{world: c.world, group: group, cid: cid}
+	return &Comm{world: c.world, group: group, index: index, cid: cid}
 }
 
 // Dup duplicates the communicator with a fresh context (collective).
 func (c *Comm) Dup(r *Rank) *Comm {
 	c.Barrier(r)
-	g := make([]int, len(c.group))
-	copy(g, c.group)
-	return &Comm{world: c.world, group: g, cid: c.cid*4096 + 4095}
+	return &Comm{world: c.world, group: c.group, index: c.index, cid: c.cid*4096 + 4095}
 }

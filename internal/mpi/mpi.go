@@ -82,9 +82,13 @@ type Rank struct {
 	// message-matching state, keyed by communicator context id
 	unexpected []*envelope
 	posted     []*postedRecv
+	recv       postedRecv // the blocking Recv's slot on posted
 
-	sends, recvs int64
-	sentBytes    int64
+	// Recycled per-message records (see envelope and Request). Rank-local:
+	// touched only from this rank's processes and arrival callbacks.
+	freeEnv  *envelope
+	nFreeEnv int
+	freeReq  *Request
 }
 
 // Launch creates an MPI job and spawns its ranks; body runs once per rank.
@@ -120,7 +124,7 @@ func launch(c *cluster.Cluster, np, ppn int, body func(r *Rank), confined bool) 
 	for i := range group {
 		group[i] = i
 	}
-	w.comm0 = &Comm{world: w, group: group, cid: 0}
+	w.comm0 = &Comm{world: w, group: group, cid: 0} // nil index: comm rank == world rank
 	w.nextCID = 1
 	for i := 0; i < np; i++ {
 		r := &Rank{world: w, rank: i, node: i / ppn, p: nil}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hpcbd/internal/cluster"
@@ -18,6 +19,16 @@ type Message struct {
 
 // envelope is an in-flight message at the receiver: either a delivered
 // eager message or a rendezvous RTS awaiting the data transfer.
+//
+// Envelopes are recycled, and who may touch one follows the message: the
+// sender takes it from its own rank's free list (or allocates), fills it
+// and hands it to the fabric; from arrival on it belongs to the
+// destination rank, which retires it onto its own free list once the
+// receive has copied the message out. A free list is therefore only ever
+// touched from its rank's shard — no lock, legal for LaunchEager's
+// confined ranks inside parallel windows — and its contents follow
+// virtual event order, not host timing. An envelope that never arrives or
+// is never received (message faults, a deadlocked world) falls to the GC.
 type envelope struct {
 	cid     int
 	src     int // comm-relative source rank
@@ -25,12 +36,52 @@ type envelope struct {
 	bytes   int64
 	payload any
 	eager   bool
-	// rendezvous state, embedded by value: one envelope allocation per
-	// message instead of three (zero-value futures are valid).
+	// rendezvous state, embedded by value (zero-value futures are valid).
 	cts  sim.Future[struct{}] // completed when the receiver matches (clear-to-send)
 	data sim.Future[Message]  // completed by the sender when payload lands
+
+	to   *Rank     // destination rank
+	next *envelope // free-list link
+
+	// Kernel callbacks bound to this envelope once, when it is allocated,
+	// so that sending it again allocates no closure.
+	arrive      func() // deliver, the fabric's arrival callback
+	clearToSend func() // completes cts (rendezvous only, bound on first use)
 }
 
+// maxFreeEnvelopes bounds a rank's envelope free list. Symmetric
+// exchanges keep one or two in flight per rank; the bound stops a rank
+// that receives more than it sends (a Gather root, a Bcast leaf) from
+// hoarding every envelope the world ever allocated.
+const maxFreeEnvelopes = 16
+
+// newEnvelope returns a zeroed envelope for a message from rank r.
+func (r *Rank) newEnvelope() *envelope {
+	e := r.freeEnv
+	if e == nil {
+		e = &envelope{}
+		e.arrive = e.deliver
+		return e
+	}
+	r.freeEnv, e.next = e.next, nil
+	r.nFreeEnv--
+	return e
+}
+
+// retire recycles an envelope whose message this rank has received.
+func (r *Rank) retire(e *envelope) {
+	if r.nFreeEnv == maxFreeEnvelopes {
+		return
+	}
+	// Zeroing resets the futures and drops the payload reference.
+	*e = envelope{arrive: e.arrive, clearToSend: e.clearToSend, next: r.freeEnv}
+	r.freeEnv = e
+	r.nFreeEnv++
+}
+
+// postedRecv is a receive waiting on a rank's posted queue. A blocking
+// Recv posts the slot embedded in its Rank, an Irecv the one in its
+// Request.
 type postedRecv struct {
 	cid, src, tag int
 	fut           sim.Future[*envelope]
@@ -42,17 +93,16 @@ func match(cid, src, tag int, e *envelope) bool {
 		(tag == AnyTag || e.tag == tag)
 }
 
-func matchPost(pr *postedRecv, e *envelope) bool {
-	return match(pr.cid, pr.src, pr.tag, e)
-}
-
 // deliver is invoked (as a kernel callback) when a message or RTS arrives
 // at the destination rank: hand it to a matching posted receive, or queue
 // it as unexpected.
-func (r *Rank) deliver(e *envelope) {
+func (e *envelope) deliver() {
+	r := e.to
 	for i, pr := range r.posted {
-		if matchPost(pr, e) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+		if match(pr.cid, pr.src, pr.tag, e) {
+			// slices.Delete clears the vacated tail slot, so the backing
+			// array keeps no pointer to a record that is about to be reused.
+			r.posted = slices.Delete(r.posted, i, i+1)
 			pr.fut.Complete(e)
 			return
 		}
@@ -76,12 +126,12 @@ const mpiStream int64 = 5
 // paper's §VI-D worries about. On a resilient world (RunResilient) the
 // send retransmits on a doubling timeout until a copy is delivered;
 // corrupt frames count as drops (verbs CRC discards them).
-func (c *Comm) clearNetwork(r *Rank, dr *Rank, bytes int64, f cluster.FabricSpec) bool {
+func (c *Comm) clearNetwork(r *Rank, p *sim.Proc, dr *Rank, bytes int64, f cluster.FabricSpec) bool {
 	cl := c.world.Cluster
 	if !cl.NetFaultsEnabled() || r.node == dr.node {
 		return true
 	}
-	if r.p.Confined() {
+	if p.Confined() {
 		// LaunchEager drops confinement when faults are on at launch;
 		// reaching here means faults were enabled mid-run under a
 		// confined world, which the fate-coin state cannot support.
@@ -93,14 +143,14 @@ func (c *Comm) clearNetwork(r *Rank, dr *Rank, bytes int64, f cluster.FabricSpec
 	}
 	if !c.world.netRetry {
 		c.world.lostMsgs++
-		cl.XferInject(r.p, r.node, dr.node, bytes, f)
+		cl.XferInject(p, r.node, dr.node, bytes, f)
 		return false
 	}
 	timeout := c.world.commTimeout
 	for attempt := 1; ; attempt++ {
 		c.world.commFaults++
-		cl.XferInject(r.p, r.node, dr.node, bytes, f)
-		r.p.Sleep(timeout)
+		cl.XferInject(p, r.node, dr.node, bytes, f)
+		p.Sleep(timeout)
 		if timeout < 16*c.world.commTimeout {
 			timeout *= 2
 		}
@@ -118,6 +168,12 @@ func (c *Comm) clearNetwork(r *Rank, dr *Rank, bytes int64, f cluster.FabricSpec
 // injected (buffered at the receiver); larger messages use a rendezvous
 // protocol and block until the receiver has matched.
 func (c *Comm) Send(r *Rank, dst, tag int, payload any, bytes int64) {
+	c.sendOn(r, r.p, dst, tag, payload, bytes)
+}
+
+// sendOn performs rank r's send, charging time to p: the rank's own
+// process, or the progress process of an Isend.
+func (c *Comm) sendOn(r *Rank, p *sim.Proc, dst, tag int, payload any, bytes int64) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d (comm size %d)", dst, c.Size()))
 	}
@@ -127,129 +183,159 @@ func (c *Comm) Send(r *Rank, dst, tag int, payload any, bytes int64) {
 	// wake event renumbers same-timestamp events and flips (time, seq)
 	// tie-breaks at contended NIC/scratch resources — observable virtual-
 	// time divergence in the resilient sweeps.
-	r.p.Sleep(cm.MPIPerCallOverhead)
-	r.sends++
-	r.sentBytes += bytes
+	p.Sleep(cm.MPIPerCallOverhead)
 	dr := c.world.ranks[c.group[dst]]
 	f := r.fabric()
 	src := c.rankOf(r)
 
 	if bytes <= cm.MPIEagerThreshold {
-		if !c.clearNetwork(r, dr, bytes+rtsBytes, f) {
+		if !c.clearNetwork(r, p, dr, bytes+rtsBytes, f) {
 			return // eager frame lost; the receiver will wait forever
 		}
-		e := &envelope{cid: c.cid, src: src, tag: tag, bytes: bytes, payload: payload, eager: true}
-		c.world.Cluster.XferAsync(r.p, r.node, dr.node, bytes+rtsBytes, f, func() {
-			dr.deliver(e)
-		})
+		e := r.newEnvelope()
+		e.cid, e.src, e.tag, e.bytes, e.payload, e.eager, e.to = c.cid, src, tag, bytes, payload, true, dr
+		c.world.Cluster.XferAsync(p, r.node, dr.node, bytes+rtsBytes, f, e.arrive)
 		return
 	}
 
 	// Rendezvous: RTS, wait for CTS, then transfer payload. Losing the
 	// RTS kills the whole exchange: without it the receiver never sends
 	// CTS, so the fragile sender parks forever too.
-	if r.p.Confined() {
+	if p.Confined() {
 		panic(fmt.Sprintf("mpi: rendezvous send (%d bytes > eager threshold %d) from a shard-confined rank; use Launch instead of LaunchEager", bytes, cm.MPIEagerThreshold))
 	}
-	if !c.clearNetwork(r, dr, rtsBytes, f) {
-		c.world.lostRendezvous(r)
+	if !c.clearNetwork(r, p, dr, rtsBytes, f) {
+		var never sim.Future[struct{}]
+		never.Wait(p) // no CTS will come, and a fragile MPI_Send has nothing else to wake it
 		return
 	}
-	e := &envelope{cid: c.cid, src: src, tag: tag, bytes: bytes}
-	c.world.Cluster.XferAsync(r.p, r.node, dr.node, rtsBytes, f, func() {
-		dr.deliver(e)
-	})
-	e.cts.Wait(r.p)
-	c.world.Cluster.Xfer(r.p, r.node, dr.node, bytes, f)
+	e := r.newEnvelope()
+	e.cid, e.src, e.tag, e.bytes, e.to = c.cid, src, tag, bytes, dr
+	c.world.Cluster.XferAsync(p, r.node, dr.node, rtsBytes, f, e.arrive)
+	e.cts.Wait(p)
+	c.world.Cluster.Xfer(p, r.node, dr.node, bytes, f)
+	// Completing data is the sender's last touch: the receiver retires
+	// the envelope when it wakes.
 	e.data.Complete(Message{Src: src, Tag: tag, Bytes: bytes, Payload: payload})
-}
-
-// lostRendezvous parks the sending process forever: a rendezvous send
-// whose RTS vanished never receives a CTS, and a fragile MPI_Send has
-// nothing else to wake it.
-func (w *World) lostRendezvous(r *Rank) {
-	var never sim.Future[struct{}]
-	never.Wait(r.p)
 }
 
 // Recv performs a blocking receive matching (src, tag) on communicator c.
 // src may be AnySource and tag may be AnyTag.
 func (c *Comm) Recv(r *Rank, src, tag int) Message {
 	r.p.Sleep(r.cost().MPIPerCallOverhead)
-	return c.recvOn(r, r, src, tag)
+	return c.recvOn(r, r.p, &r.recv, src, tag)
 }
 
-// Request is a handle to a non-blocking operation.
-type Request struct {
-	done sim.Future[Message]
-}
-
-// Wait blocks until the operation completes and returns the message (zero
-// Message for sends).
-func (q *Request) Wait(r *Rank) Message { return q.done.Wait(r.p) }
-
-// Isend starts a non-blocking send and returns a request. The rank is
-// charged only the call overhead; the transfer proceeds in a background
-// simulated process.
-func (c *Comm) Isend(r *Rank, dst, tag int, payload any, bytes int64) *Request {
-	req := &Request{}
-	// The background proc inherits the rank's identity for matching
-	// purposes but runs on its own virtual thread, as a real MPI progress
-	// engine would. Spawning through the rank's proc keeps the progress
-	// thread on the rank's shard with the rank's confinement.
-	r.p.Spawn("mpi.isend", func(p *sim.Proc) { // static name: one progress proc per message makes Sprintf a hot-path alloc
-		shadow := &Rank{world: r.world, rank: r.rank, node: r.node, p: p}
-		c.Send(shadow, dst, tag, payload, bytes)
-		r.sends++
-		r.sentBytes += bytes
-		req.done.Complete(Message{})
-	})
-	r.p.Sleep(r.cost().MPIPerCallOverhead)
-	return req
-}
-
-// Irecv starts a non-blocking receive.
-func (c *Comm) Irecv(r *Rank, src, tag int) *Request {
-	req := &Request{}
-	r.p.Spawn("mpi.irecv", func(p *sim.Proc) {
-		// The shadow runs on its own virtual thread but matches against
-		// the real rank's queues.
-		shadow := &Rank{world: r.world, rank: r.rank, node: r.node, p: p}
-		m := c.recvOn(r, shadow, src, tag)
-		req.done.Complete(m)
-	})
-	r.p.Sleep(r.cost().MPIPerCallOverhead)
-	return req
-}
-
-// recvOn performs a receive using owner's matching queues but charging
-// time to the proc of exec (used by Irecv progress threads).
-func (c *Comm) recvOn(owner, exec *Rank, src, tag int) Message {
-	f := exec.fabric()
+// recvOn performs rank r's receive — its matching queues, its free list
+// — charging time to p: the rank's own process, or the progress process
+// of an Irecv. pr is the slot to post if no message is waiting.
+func (c *Comm) recvOn(r *Rank, p *sim.Proc, pr *postedRecv, src, tag int) Message {
+	f := r.fabric()
 	var e *envelope
-	for i, u := range owner.unexpected {
+	for i, u := range r.unexpected {
 		if match(c.cid, src, tag, u) {
-			owner.unexpected = append(owner.unexpected[:i], owner.unexpected[i+1:]...)
+			r.unexpected = slices.Delete(r.unexpected, i, i+1)
 			e = u
 			break
 		}
 	}
 	if e == nil {
-		pr := &postedRecv{cid: c.cid, src: src, tag: tag}
-		owner.posted = append(owner.posted, pr)
-		e = pr.fut.Wait(exec.p)
+		*pr = postedRecv{cid: c.cid, src: src, tag: tag}
+		r.posted = append(r.posted, pr)
+		e = pr.fut.Wait(p)
 	}
-	owner.recvs++
 	if e.eager {
-		exec.p.Sleep(f.RecvOverhead)
-		return Message{Src: e.src, Tag: e.tag, Bytes: e.bytes, Payload: e.payload}
+		m := Message{Src: e.src, Tag: e.tag, Bytes: e.bytes, Payload: e.payload}
+		r.retire(e)
+		p.Sleep(f.RecvOverhead)
+		return m
 	}
-	if exec.p.Confined() {
+	if p.Confined() {
 		panic("mpi: rendezvous receive on a shard-confined rank; use Launch instead of LaunchEager")
 	}
-	k := c.world.Cluster.K
-	k.After(f.TransferTime(rtsBytes), func() { e.cts.Complete(struct{}{}) })
-	return e.data.Wait(exec.p)
+	if e.clearToSend == nil {
+		e.clearToSend = func() { e.cts.Complete(struct{}{}) }
+	}
+	c.world.Cluster.K.After(f.TransferTime(rtsBytes), e.clearToSend)
+	m := e.data.Wait(p)
+	r.retire(e)
+	return m
+}
+
+// Request is a handle to a non-blocking operation, valid until its Wait
+// returns (as MPI_Wait leaves MPI_REQUEST_NULL behind). It carries
+// everything the operation's progress process needs — arguments, the
+// posted-receive slot, the body bound once — and is recycled through the
+// issuing rank's free list, so a steady-state Isend or Irecv allocates
+// nothing.
+type Request struct {
+	done sim.Future[Message]
+
+	c         *Comm
+	r         *Rank // issuing rank; nil once Wait has retired the request
+	recv      bool
+	peer, tag int
+	payload   any
+	bytes     int64
+	post      postedRecv
+
+	progress func(p *sim.Proc) // run, bound when the request is allocated
+	next     *Request          // free-list link
+}
+
+// Wait blocks until the operation completes and returns the message (zero
+// Message for sends). It consumes the request.
+func (q *Request) Wait(r *Rank) Message {
+	if q.r == nil {
+		panic("mpi: Wait on a request that was already waited for")
+	}
+	m := q.done.Wait(r.p)
+	owner := q.r
+	*q = Request{progress: q.progress, next: owner.freeReq}
+	owner.freeReq = q
+	return m
+}
+
+// newRequest starts a non-blocking operation of rank r: its progress
+// process runs on its own virtual thread, as a real MPI progress engine
+// would, while matching against the rank's queues. Spawning through the
+// rank's proc keeps the progress thread on the rank's shard with the
+// rank's confinement. The rank is charged only the call overhead.
+func (c *Comm) newRequest(r *Rank, name string, recv bool, peer, tag int, payload any, bytes int64) *Request {
+	q := r.freeReq
+	if q == nil {
+		q = &Request{}
+		q.progress = q.run
+	} else {
+		r.freeReq, q.next = q.next, nil
+	}
+	q.c, q.r, q.recv, q.peer, q.tag, q.payload, q.bytes = c, r, recv, peer, tag, payload, bytes
+	r.p.Spawn(name, q.progress) // static names: one progress proc per message makes Sprintf a hot-path alloc
+	r.p.Sleep(r.cost().MPIPerCallOverhead)
+	return q
+}
+
+// run is the body of the request's progress process. Completing done is
+// its last touch: the waiter retires the request when it wakes.
+func (q *Request) run(p *sim.Proc) {
+	var m Message
+	if q.recv {
+		m = q.c.recvOn(q.r, p, &q.post, q.peer, q.tag)
+	} else {
+		q.c.sendOn(q.r, p, q.peer, q.tag, q.payload, q.bytes)
+	}
+	q.done.Complete(m)
+}
+
+// Isend starts a non-blocking send and returns a request; the transfer
+// proceeds in a background simulated process.
+func (c *Comm) Isend(r *Rank, dst, tag int, payload any, bytes int64) *Request {
+	return c.newRequest(r, "mpi.isend", false, dst, tag, payload, bytes)
+}
+
+// Irecv starts a non-blocking receive.
+func (c *Comm) Irecv(r *Rank, src, tag int) *Request {
+	return c.newRequest(r, "mpi.irecv", true, src, tag, nil, 0)
 }
 
 // Sendrecv concurrently sends to dst and receives from src, the deadlock-

@@ -1,21 +1,24 @@
 // Package scratch provides sync.Pool-backed scratch buffers for the
-// shuffle hot paths of the rdd and mapred engines.
+// shuffle hot paths of the rdd and mapred engines and for the payloads
+// of the MPI reduction collectives.
 //
 // The shuffle rewrites (two-pass bucketize, open-addressing combiners,
 // hash-cached sorts) all need transient integer arrays — per-record
 // hashes, per-bucket counts, probe tables — whose lifetimes end inside
 // one payload. Generic code cannot hang a sync.Pool per type
 // instantiation off package scope, so all scratch is concrete-typed
-// ([]uint64, []int32) and shared here. Payloads run concurrently on the
-// host worker pool, which is exactly what sync.Pool is safe for; buffers
-// are fully (re)initialized by their users, so reuse cannot leak state
-// between payloads, and pooling therefore cannot affect determinism.
+// ([]uint64, []int32, []float64) and shared here. Payloads run
+// concurrently on the host worker pool, which is exactly what sync.Pool
+// is safe for; buffers are fully (re)initialized by their users, so reuse
+// cannot leak state between payloads, and pooling therefore cannot affect
+// determinism.
 package scratch
 
 import "sync"
 
 var u64Pool = sync.Pool{New: func() any { return new([]uint64) }}
 var i32Pool = sync.Pool{New: func() any { return new([]int32) }}
+var f64Pool = sync.Pool{New: func() any { return new([]float64) }}
 
 // U64 returns a length-n uint64 buffer with arbitrary contents.
 // Release with PutU64.
@@ -62,6 +65,20 @@ func I32Fill(n int, v int32) *[]int32 {
 
 // PutI32 returns a buffer to the pool.
 func PutI32(p *[]int32) { i32Pool.Put(p) }
+
+// F64 returns a length-n float64 buffer with arbitrary contents.
+// Release with PutF64.
+func F64(n int) *[]float64 {
+	p := f64Pool.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// PutF64 returns a buffer to the pool.
+func PutF64(p *[]float64) { f64Pool.Put(p) }
 
 // TableSize returns the open-addressing table size for n entries: the
 // smallest power of two >= 2n (load factor <= 0.5), minimum 8.

@@ -53,14 +53,13 @@ type procKilled struct{}
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventQueue    // single-heap layout (shards == nil)
-	killed  chan struct{} // closed on Shutdown (external observers)
-	dead    bool          // set by Shutdown before stopping coroutines
-	procs   []*Proc       // every Proc with a live coroutine (for Shutdown)
-	free    []*Proc       // finished procs whose coroutines await reuse
-	handoff *Proc         // proc a yielding coroutine asks Run to resume
-	live    int           // processes spawned and not yet finished
-	parked  int           // processes parked without a pending event
+	events  eventQueue // single-heap layout (shards == nil)
+	dead    bool       // set by reclaim before stopping coroutines
+	procs   []*Proc    // every Proc with a live coroutine (for reclaim)
+	free    []*Proc    // finished procs whose coroutines await reuse
+	handoff *Proc      // proc a yielding coroutine asks Run to resume
+	live    int        // processes spawned and not yet finished
+	parked  int        // processes parked without a pending event
 	nextID  int
 	rng     *rand.Rand
 	ran     bool
@@ -110,9 +109,8 @@ type Kernel struct {
 // (exec.Default) for payload offloading; SetPool overrides it.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		killed: make(chan struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
-		pool:   exec.Default(),
+		rng:  rand.New(rand.NewSource(seed)),
+		pool: exec.Default(),
 	}
 }
 
@@ -631,15 +629,18 @@ func (k *Kernel) dispatchFrom(self *Proc) int {
 // finishes yields its coroutine back here (leaving the next process to
 // resume, if any, in k.handoff), and Run performs the switch. Processes
 // still parked on resources, channels or futures when the queue drains
-// are deadlocked (or simply never signalled); Run returns anyway and
-// Shutdown reclaims their coroutines.
+// are deadlocked (or simply never signalled); Run returns anyway,
+// reclaiming their coroutines on the way out.
 func (k *Kernel) Run() Time {
 	if k.ran {
 		panic("sim: Kernel.Run called twice")
 	}
 	k.ran = true
-	defer func() { totalEvents.Add(k.nev) }()
-	defer k.closeGang()
+	defer func() {
+		totalEvents.Add(k.nev)
+		k.closeGang()
+		k.reclaim()
+	}()
 	yieldEvery := int64(2048)
 	nextYield := k.nev + yieldEvery
 	par := k.par > 1 && k.shards != nil && k.lookahead > 0
@@ -689,28 +690,33 @@ func (k *Kernel) Blocked() int { return k.parked }
 // Live returns the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Shutdown releases the coroutines of any processes still parked. It must
-// be called after Run (typically via defer) when the simulation may end
-// with blocked processes.
-func (k *Kernel) Shutdown() {
-	select {
-	case <-k.killed:
-		return
-	default:
-		close(k.killed)
-	}
+// reclaim stops every coroutine the kernel created: suspended in park
+// (not finished), idling on a free list in coro (finished), or never
+// started (spawned but never dispatched). stop makes the suspended yield
+// return false on the first two paths and marks the third exhausted
+// without ever running it. Run reclaims on return — a kernel cannot run
+// twice, so nothing could resume them, and a parked goroutine is a GC
+// root that would pin the whole simulation behind it. What callers read
+// after Run stays: Events, ShardStats and the queues are untouched, and
+// Blocked keeps its end-of-run value even when an unwinding body's
+// deferred calls wake other processes.
+func (k *Kernel) reclaim() {
 	k.dead = true
-	// Every Proc ever created has a live coroutine: suspended in park
-	// (not finished), idling on the free list in coro (finished), or
-	// never started (spawned but never dispatched). stop makes the
-	// suspended yield return false on the first two paths and marks the
-	// third exhausted without ever running it.
+	parked := k.parked
 	for _, p := range k.procs {
 		p.stop()
 	}
+	k.parked = parked
 	k.procs = nil
 	k.free = nil
-	// Release queued events (and their fn closures) for GC.
+}
+
+// Shutdown releases a kernel's coroutines and queued events. Run already
+// reclaims the coroutines when it returns; Shutdown is for a kernel that
+// was never run, and drops the queues (and their fn closures) for GC.
+// Every step is a no-op the second time, so Shutdown is idempotent.
+func (k *Kernel) Shutdown() {
+	k.reclaim()
 	k.events = nil
 	k.shards = nil
 	k.mins = nil

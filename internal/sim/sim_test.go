@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -354,6 +355,39 @@ func TestShutdownReleasesParked(t *testing.T) {
 	}
 	k.Shutdown() // must not hang or panic
 	k.Shutdown() // idempotent
+}
+
+// TestRunReclaimsCoroutines: Run returns with no goroutine of its own left
+// behind — not the processes that finished, not the one parked forever,
+// not the one whose unwinding defer wakes another — and what callers read
+// afterwards is still there.
+func TestRunReclaimsCoroutines(t *testing.T) {
+	NewKernel(0) // starts the process-wide worker pool, which stays
+	base := runtime.NumGoroutine()
+	k := NewKernel(1)
+	never := NewChan[int](k, "never", 0)
+	wg := NewWaitGroup(k)
+	wg.Add(1)
+	k.Spawn("waiter", func(p *Proc) { wg.Wait(p) })
+	k.Spawn("stuck", func(p *Proc) {
+		defer wg.Done() // runs while the kernel reclaims, and wakes waiter
+		never.Recv(p)
+	})
+	for i := 0; i < 50; i++ {
+		k.Spawn("worker", func(p *Proc) { p.Sleep(time.Duration(i)) })
+	}
+	k.Run()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Run, %d before the kernel existed", n, base)
+	}
+	if k.Blocked() != 2 {
+		t.Errorf("Blocked() = %d after Run, want the 2 processes the run left parked", k.Blocked())
+	}
+	if k.Events() == 0 {
+		t.Error("Events() lost by the reclaim")
+	}
+	k.Shutdown() // still fine, and idempotent
+	k.Shutdown()
 }
 
 func TestDeterminism(t *testing.T) {
