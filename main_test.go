@@ -14,14 +14,12 @@ import (
 // measures the same configuration the cmd/ CLIs run with. Setting GOGC
 // in the environment overrides it.
 //
-// HPCBD_SHARDS=<n> runs the entire binary — golden captures included —
-// on the sharded event kernel, and HPCBD_WORKERS=<n> adds parallel
-// window dispatch on top. The golden-compare harness uses these to
-// prove byte-identical output at every shard and worker count:
+// HPCBD_SHARDS=<n> runs the entire binary — golden digests included —
+// on n event shards, and HPCBD_WORKERS=<n> adds parallel window
+// dispatch on top, so the committed digests prove byte-identical output
+// at any shard and worker count:
 //
-//	HPCBD_GOLDEN=/tmp/g.txt go test -run TestGoldenCapture
-//	HPCBD_SHARDS=4 HPCBD_GOLDEN_CMP=/tmp/g.txt go test -run TestGoldenCapture
-//	HPCBD_SHARDS=4 HPCBD_WORKERS=4 HPCBD_GOLDEN_CMP=/tmp/g.txt go test -run TestGoldenCapture
+//	HPCBD_SHARDS=4 HPCBD_WORKERS=2 go test -run TestGolden .
 func TestMain(m *testing.M) {
 	gctune.Apply()
 	for _, e := range []struct {
