@@ -21,16 +21,13 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/... ./internal/mpi/...
-	# Multi-shard soak: the whole quick suite on a 4-way sharded kernel
-	# with concurrent sweep points, under the race detector.
-	HPCBD_SHARDS=4 $(GO) test -race -short -count=1 .
-	HPCBD_SHARDS=4 $(GO) test -race -count=2 ./internal/core/...
-	# Parallel-dispatch soak: window execution with 4 workers on the
-	# 4-way sharded kernel — the race detector sees every gang worker
-	# touch the shard heaps, inboxes and op logs.
+	# Multi-shard, parallel-dispatch soak: the quick suite with concurrent
+	# sweep points on a 4-way sharded kernel, serial between windows of 4
+	# workers — the race detector sees every gang worker touch the shard
+	# heaps, inboxes and op logs.
 	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/mpi/...
 	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -short -count=1 .
-	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=1 ./internal/core/...
+	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/core/...
 
 # Every fault-injection sweep (node crashes, lossy network, master
 # kills, split-brain partitions, gray-node tails, resource-exhaustion

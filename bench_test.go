@@ -135,8 +135,8 @@ func BenchmarkFig6PageRankBigDataBench(b *testing.B) {
 
 // BenchmarkFig6PageRankSharded regenerates Fig 6 on a 4-way sharded
 // kernel with concurrent sweep points — the multicore configuration the
-// sharded kernel targets. Output is bit-identical to the unsharded
-// benchmark (the shard-invariance tests pin it); only host throughput
+// sharded kernel targets. Output is bit-identical to the one-shard
+// benchmark (the host-invariance tests pin it); only host throughput
 // differs. Compare its sim-events/sec against
 // BenchmarkFig6PageRankBigDataBench to read the speedup on this host.
 func BenchmarkFig6PageRankSharded(b *testing.B) {

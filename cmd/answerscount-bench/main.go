@@ -19,7 +19,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	gb := flag.Float64("gb", 0, "override dataset size in decimal GB")
 	pool := flag.Int("pool", 0, "host worker pool size for simulated-task payloads (0 = GOMAXPROCS); results are identical for every size")
-	shards := flag.Int("shards", 0, "event-queue shards per kernel (0 = unsharded); results are identical for every count")
+	shards := flag.Int("shards", 1, "event-queue shards per kernel; results are identical for every count")
 	workers := flag.Int("workers", 0, "parallel dispatch workers per kernel (0 = serial; needs -shards > 1 to engage); results are identical for every count")
 	scale := flag.Bool("scale", false, "also run the production-scale sweep (1,000+ nodes, MPI)")
 	scaleNodes := flag.Int("scale-max", 4000, "largest node count of the -scale sweep (doubling from 1000)")
@@ -62,12 +62,13 @@ func main() {
 		for n := 1000; n <= *scaleNodes; n *= 2 {
 			cfg.NodeCounts = append(cfg.NodeCounts, n)
 		}
-		if *shards > 0 {
-			cfg.Shards = *shards
-		}
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
+		// Without -shards the sweep keeps its plan of one shard per 8 racks.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				cfg.Shards = *shards
+			}
+		})
+		cfg.Workers = *workers
 		pts := hpcbd.ScaleSweep(o, cfg)
 		fmt.Println(hpcbd.ScaleTable(pts))
 		for _, p := range pts {

@@ -22,7 +22,7 @@ func main() {
 	impl := flag.String("impl", "both", "bigdatabench (Fig 6), hibench (Fig 7), or both")
 	ablate := flag.Bool("ablate", false, "also run the persist ablation")
 	pool := flag.Int("pool", 0, "host worker pool size for simulated-task payloads (0 = GOMAXPROCS); results are identical for every size")
-	shards := flag.Int("shards", 0, "event-queue shards per kernel (0 = unsharded); results are identical for every count")
+	shards := flag.Int("shards", 1, "event-queue shards per kernel; results are identical for every count")
 	profiling.Flags()
 	flag.Parse()
 	exec.SetDefaultSize(*pool)

@@ -107,8 +107,8 @@ func FullOptions() Options { return core.Full() }
 // QuickOptions returns a configuration small enough for tests and demos.
 func QuickOptions() Options { return core.Quick() }
 
-// SetShards partitions every subsequently built experiment kernel's event
-// queue into n shards (see the sharded-kernel notes in internal/sim).
+// SetShards splits every subsequently built experiment kernel's event
+// queue into n shards (default one; see internal/sim's shard notes).
 // Shard counts are a pure performance knob: every figure, table and
 // counter is bit-identical at every value.
 func SetShards(n int) { core.SetShards(n) }
@@ -122,7 +122,7 @@ func Shards() int { return core.Shards() }
 // conservative-window notes). Like shard counts, workers are a pure
 // performance knob — committed event order, virtual times and every
 // counter are bit-identical at every value. Engages only when the
-// kernel is also sharded (SetShards > 1).
+// kernel also has several shards (SetShards > 1).
 func SetWorkers(n int) { core.SetWorkers(n) }
 
 // Workers reports the configured dispatch worker count (minimum 1).

@@ -151,17 +151,15 @@ type Cluster struct {
 	// use this to react to pressure transitions without polling.
 	pressureWatch []func(node int)
 
-	// Shard plan (see shard.go): event-queue shard count; node activity
-	// maps onto shards rack-contiguously. Zero/one means unsharded.
+	// Shard plan (see shard.go): event-queue shard count, at least one;
+	// node activity maps onto shards rack-contiguously.
 	shards int
 
-	// Fabric traffic counters. Sharded clusters keep one padded slot per
-	// shard, indexed by the sending process's shard: confined senders
-	// inside a parallel window then increment a slot their worker owns
-	// exclusively, and BytesSent/Messages sum at read time (serial).
-	bytesSent int64
-	messages  int64
-	traffic   []trafficSlot
+	// Fabric traffic counters: one padded slot per shard, indexed by the
+	// sending process's shard. Confined senders inside a parallel window
+	// then increment a slot their worker owns exclusively, and
+	// BytesSent/Messages sum at read time (serial).
+	traffic []trafficSlot
 }
 
 // trafficSlot is one shard's fabric counters, padded to a cache line so
@@ -173,13 +171,8 @@ type trafficSlot struct {
 }
 
 // accountXfer attributes an inter-node message to the sending process's
-// shard slot (or the scalar counters when unsharded).
+// shard slot.
 func (c *Cluster) accountXfer(p *sim.Proc, bytes int64) {
-	if c.traffic == nil {
-		c.bytesSent += bytes
-		c.messages++
-		return
-	}
 	s := &c.traffic[p.Shard()]
 	s.bytes += bytes
 	s.msgs++
@@ -191,11 +184,13 @@ func New(k *sim.Kernel, n int, spec NodeSpec, fabric FabricSpec, cost CostModel)
 		panic("cluster: need at least one node")
 	}
 	c := &Cluster{
-		K:      k,
-		Fabric: fabric,
-		Local:  IntraNode(),
-		NFS:    NewDisk(k, "nfs", NFSDisk()),
-		Cost:   cost,
+		K:       k,
+		Fabric:  fabric,
+		Local:   IntraNode(),
+		NFS:     NewDisk(k, "nfs", NFSDisk()),
+		Cost:    cost,
+		shards:  1,
+		traffic: make([]trafficSlot, 1),
 	}
 	for i := 0; i < n; i++ {
 		c.Nodes = append(c.Nodes, &Node{
@@ -258,7 +253,7 @@ func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
 // BytesSent returns total bytes moved across the fabric (excludes
 // intra-node copies).
 func (c *Cluster) BytesSent() int64 {
-	n := c.bytesSent
+	var n int64
 	for i := range c.traffic {
 		n += c.traffic[i].bytes
 	}
@@ -267,7 +262,7 @@ func (c *Cluster) BytesSent() int64 {
 
 // Messages returns the total inter-node message count.
 func (c *Cluster) Messages() int64 {
-	n := c.messages
+	var n int64
 	for i := range c.traffic {
 		n += c.traffic[i].msgs
 	}

@@ -298,8 +298,7 @@ func (c *Cluster) PartitionDrops() int64 {
 func (c *Cluster) XferInject(p *sim.Proc, src, dst int, bytes int64, f FabricSpec) {
 	f = c.fabricFor(src, dst, f)
 	if src != dst {
-		c.bytesSent += bytes
-		c.messages++
+		c.accountXfer(p, bytes)
 	}
 	p.Sleep(f.SendOverhead)
 	occ := f.Occupancy(bytes)

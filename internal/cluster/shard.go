@@ -8,9 +8,10 @@ import (
 
 // Shard plan: mapping simulated nodes onto kernel event shards.
 //
-// The sharded kernel (sim.SetShards) partitions the event queue for
-// cache locality and cross-shard batching; the cluster decides which
-// shard each node's activity lives on. The plan is rack-contiguous:
+// The kernel's event queue (sim.SetShards) has one shard until a
+// cluster asks for more, for cache locality and cross-shard batching;
+// the cluster decides which shard each node's activity lives on. A new
+// cluster has a one-shard plan. The plan is rack-contiguous:
 // racks are never split across shards, so intra-rack traffic — the bulk
 // of a fat-tree workload when placement is rack-aware — stays same-shard
 // and sifts straight into the local heap, while inter-rack transfers ride
@@ -27,38 +28,25 @@ import (
 // message delivery, remote wake — can take effect sooner than one fabric
 // hop (RDMA verbs, 1.2 µs on Comet, is the floor). Call before Run, and
 // before spawning runtimes so their processes land on their nodes'
-// shards. n <= 1 restores the single-heap kernel.
+// shards. n <= 1 means one shard.
 func (c *Cluster) EnableSharding(n int) {
-	if n > len(c.Nodes) {
-		n = len(c.Nodes) // no point sharding finer than one node per shard
-	}
-	if n < 1 {
-		n = 1
-	}
+	// No point sharding finer than one node per shard.
+	n = max(min(n, len(c.Nodes)), 1)
 	c.shards = n
 	c.K.SetShards(n)
-	if n > 1 {
-		c.K.SetLookahead(c.Fabric.Latency)
-		c.traffic = make([]trafficSlot, n)
-	} else {
-		c.traffic = nil
-	}
+	c.K.SetLookahead(c.Fabric.Latency)
+	c.traffic = make([]trafficSlot, n)
 }
 
-// ShardPlan returns the configured shard count (1 when unsharded).
-func (c *Cluster) ShardPlan() int {
-	if c.shards < 1 {
-		return 1
-	}
-	return c.shards
-}
+// ShardPlan returns the configured shard count.
+func (c *Cluster) ShardPlan() int { return c.shards }
 
 // ShardOfNode returns the event shard hosting a node's activity. Racks
 // map to contiguous shard blocks; without topology, the node range is
 // block-partitioned directly. Out-of-range nodes (e.g. a driver "node"
 // beyond the cluster) fold to shard 0.
 func (c *Cluster) ShardOfNode(node int) int {
-	if c.shards <= 1 || node < 0 || node >= len(c.Nodes) {
+	if node < 0 || node >= len(c.Nodes) {
 		return 0
 	}
 	if c.RackSize > 0 {

@@ -86,9 +86,7 @@ func clusterTrace(t *testing.T, shards int) string {
 	k := sim.NewKernel(11)
 	c := Comet(k, 16)
 	c.EnableFatTree(4, 4)
-	if shards > 1 {
-		c.EnableSharding(shards)
-	}
+	c.EnableSharding(shards)
 	var log string
 	for src := 0; src < 8; src++ {
 		src := src
@@ -115,7 +113,7 @@ func TestClusterShardInvariance(t *testing.T) {
 	ref := clusterTrace(t, 1)
 	for _, n := range []int{2, 4, 8} {
 		if got := clusterTrace(t, n); got != ref {
-			t.Fatalf("cluster timeline at shards=%d differs from unsharded run", n)
+			t.Fatalf("cluster timeline at shards=%d differs from the one-shard run", n)
 		}
 	}
 }

@@ -10,13 +10,15 @@ import (
 
 // kernelShards is the event-shard count every experiment cluster is
 // built with (see cluster.EnableSharding). Atomic because sweep points
-// build clusters concurrently under exec.ForEach. Zero/one = unsharded.
+// build clusters concurrently under exec.ForEach. Values below one mean
+// one shard.
 var kernelShards atomic.Int64
 
 // SetShards configures the event-queue shard count for all subsequently
-// built experiment clusters. Shard counts are a pure performance knob:
-// every figure, table and counter is bit-identical at every value — the
-// shard-invariance tests pin that contract.
+// built experiment clusters (n <= 1 means one shard, the default).
+// Shard counts are a pure performance knob: every figure, table and
+// counter is bit-identical at every value — the host-invariance tests
+// and golden digests pin that contract.
 func SetShards(n int) { kernelShards.Store(int64(n)) }
 
 // Shards reports the configured shard count (minimum 1).
@@ -35,9 +37,9 @@ var kernelWorkers atomic.Int64
 // SetWorkers configures the parallel-dispatch worker count for all
 // subsequently built experiment clusters. Workers, like shards, are a
 // pure performance knob: committed event order, virtual times and every
-// counter are bit-identical at every value — the parallel-invariance
-// tests pin that contract. Parallel dispatch engages only when the
-// kernel is also sharded (Shards() > 1) with a lookahead bound.
+// counter are bit-identical at every value — the host-invariance tests
+// pin that contract. Parallel dispatch engages only when the kernel
+// also has several shards (Shards() > 1).
 func SetWorkers(n int) { kernelWorkers.Store(int64(n)) }
 
 // Workers reports the configured worker count (minimum 1).
@@ -200,12 +202,8 @@ func Quick() Options {
 // processes land on their nodes' shards.
 func newCluster(seed int64, n int) *cluster.Cluster {
 	k := sim.NewKernel(seed)
-	if w := Workers(); w > 1 {
-		k.SetParallel(w)
-	}
+	k.SetParallel(Workers())
 	c := cluster.Comet(k, n)
-	if s := Shards(); s > 1 {
-		c.EnableSharding(s)
-	}
+	c.EnableSharding(Shards())
 	return c
 }

@@ -9,8 +9,8 @@ import (
 
 // Conservative-window parallel dispatch.
 //
-// With SetParallel(n > 1) on a sharded kernel with a positive lookahead,
-// Run interleaves two modes:
+// With SetParallel(n > 1) on a kernel with several shards and a positive
+// lookahead, Run interleaves two modes:
 //
 //   - Serial dispatch: the ordinary one-event-at-a-time loop. All
 //     synchronized-class events (cross-shard deliveries, kernel
@@ -65,11 +65,11 @@ import (
 // with 4 workers and 4 shards).
 
 // SetParallel configures dispatch with n host workers (n <= 1 restores
-// pure serial dispatch — the default — which reproduces the unsharded
-// kernel's behavior event for event). Parallel dispatch requires a
-// sharded kernel with a positive lookahead to ever open a window; it is
-// a host-side tuning knob only, with no effect on simulated results.
-// Must be called before Run.
+// pure serial dispatch, the default). Windows open only on a kernel with
+// several shards and a positive lookahead; Run decides that once, and
+// otherwise dispatches exactly as if n were 1. It is a host-side tuning
+// knob only, with no effect on simulated results. Must be called before
+// Run.
 func (k *Kernel) SetParallel(n int) {
 	if k.ran {
 		panic("sim: SetParallel after Run")

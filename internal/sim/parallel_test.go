@@ -212,14 +212,12 @@ func TestParallelWindowProperty(t *testing.T) {
 	}
 }
 
-// TestParallelUnshardedNoop: SetParallel without shards (or without a
+// TestParallelUnshardedNoop: SetParallel on one shard (or without a
 // lookahead) must never open a window and must leave results untouched.
 func TestParallelUnshardedNoop(t *testing.T) {
 	run := func(shards int, la time.Duration, workers int) (Time, int64, ShardStats) {
 		k := NewKernel(7)
-		if shards > 1 {
-			k.SetShards(shards)
-		}
+		k.SetShards(shards)
 		k.SetLookahead(la)
 		k.SetParallel(workers)
 		var sum int64

@@ -8,17 +8,18 @@ import (
 
 // Sharded event kernel.
 //
-// A kernel may be partitioned into event shards — one per rack of the
-// simulated platform — each holding its own 4-ary event heaps plus
-// inboxes for events that cross shard boundaries. The dispatcher merges
-// shard heads in strict (time, seq) order, so the committed event order
-// is the global total order of the single-heap kernel, bit for bit, at
-// every shard count: shards change the queue's memory layout and
-// batching, never what the simulation computes. That invariant is the
-// determinism contract the shard-invariance tests enforce (golden
-// outputs, timestamps, RNG draw order and counters are identical for
-// shards = 1, 2, 4, NumCPU), and it is what lets shard counts be a pure
-// tuning knob.
+// The kernel's event queue is a set of event shards — one by default,
+// one per rack or group of racks when a cluster asks for more — each
+// holding its own 4-ary event heaps plus inboxes for events that cross
+// shard boundaries. The dispatcher merges shard heads in strict
+// (time, seq) order; one shard is simply the degenerate merge front, and
+// there is no other serial dispatch path. The committed event order is
+// the global (time, seq) total order, bit for bit, at every shard count:
+// shards change the queue's memory layout and batching, never what the
+// simulation computes. That invariant is the determinism contract the
+// host-invariance tests and golden digests enforce (outputs, timestamps,
+// RNG draw order and counters are identical for shards = 1, 2, 4,
+// NumCPU), and it is what lets shard counts be a pure tuning knob.
 //
 // Each shard keeps its pending events in two class-separated structures:
 //
@@ -171,7 +172,8 @@ func (s *shardQ) drainSync() {
 }
 
 // ShardStats reports the sharded queue's telemetry after (or during) a
-// run. With one shard only Events is meaningful.
+// run. With one shard nothing crosses shards and every event counts as
+// independent, so only Events and PerShard carry information.
 type ShardStats struct {
 	Shards    int           // configured shard count
 	Lookahead time.Duration // conservative lookahead bound (min cross-shard latency)
@@ -199,39 +201,26 @@ type ShardStats struct {
 }
 
 // SetShards partitions the kernel's event queue into n shards (n <= 1
-// restores the single-heap layout). It must be called before Run;
-// pending events are re-bucketed: process wakes to their process's
-// shard and class, callbacks to shard 0 synchronized. Shard counts are
-// a pure tuning knob — committed event order, and therefore every
-// simulated output, is identical at every n.
+// means one shard, the kernel's starting layout). It must be called
+// before Run; pending events are re-bucketed: process wakes to their
+// process's shard and class, callbacks to shard 0 synchronized. Shard
+// counts are a pure tuning knob — committed event order, and therefore
+// every simulated output, is identical at every n.
 func (k *Kernel) SetShards(n int) {
 	if k.ran {
 		panic("sim: SetShards after Run")
 	}
 	var pending []event
-	if k.shards == nil {
-		pending = append(pending, k.events...)
-		k.events = nil
-	} else {
-		for i := range k.shards {
-			s := &k.shards[i]
-			pending = append(pending, s.conf...)
-			pending = append(pending, s.synq...)
-			pending = append(pending, s.cinbox...)
-			pending = append(pending, s.sinbox...)
-		}
-		k.shards = nil
-		k.mins = nil
+	for i := range k.shards {
+		s := &k.shards[i]
+		pending = append(pending, s.conf...)
+		pending = append(pending, s.synq...)
+		pending = append(pending, s.cinbox...)
+		pending = append(pending, s.sinbox...)
 	}
+	n = max(n, 1)
 	k.nq = 0
 	k.curShard = 0
-	if n <= 1 {
-		k.events = eventQueue{}
-		for _, e := range pending {
-			k.events.push(e)
-		}
-		return
-	}
 	k.shards = make([]shardQ, n)
 	k.mins = make([]evKey, n)
 	for i := range k.shards {
@@ -248,13 +237,8 @@ func (k *Kernel) SetShards(n int) {
 	}
 }
 
-// Shards returns the configured shard count (1 when unsharded).
-func (k *Kernel) Shards() int {
-	if k.shards == nil {
-		return 1
-	}
-	return len(k.shards)
-}
+// Shards returns the configured shard count.
+func (k *Kernel) Shards() int { return len(k.shards) }
 
 // SetLookahead sets the conservative lookahead bound: a static, positive
 // lower bound on the virtual latency of every cross-shard interaction
@@ -292,7 +276,7 @@ func (k *Kernel) ShardStats() ShardStats {
 }
 
 func (k *Kernel) clampShard(s int) int {
-	if k.shards == nil || s < 0 {
+	if s < 0 {
 		return 0
 	}
 	if s >= len(k.shards) {
@@ -301,15 +285,10 @@ func (k *Kernel) clampShard(s int) int {
 	return s
 }
 
-// pushEvent enqueues e on shard sh with the given class (class and shard
-// are ignored when unsharded). Same-shard events sift into the shard
-// heap directly; cross-shard events append to the destination inbox in
-// O(1) and heapify in batches at drain time.
+// pushEvent enqueues e on shard sh with the given class. Same-shard
+// events sift into the shard heap directly; cross-shard events append to
+// the destination inbox in O(1) and heapify in batches at drain time.
 func (k *Kernel) pushEvent(e event, sh int, sync bool) {
-	if k.shards == nil {
-		k.events.push(e)
-		return
-	}
 	s := &k.shards[sh]
 	ek := evKey{t: e.t, seq: e.seq}
 	if sh == k.curShard {
@@ -344,12 +323,6 @@ func (k *Kernel) pushEvent(e event, sh int, sync bool) {
 // curShard to the committed event's shard, which routes inherited
 // spawns, After callbacks and same-shard pushes.
 func (k *Kernel) popEvent() (event, bool) {
-	if k.shards == nil {
-		if len(k.events) == 0 {
-			return event{}, false
-		}
-		return k.events.pop(), true
-	}
 	if k.nq == 0 {
 		return event{}, false
 	}
@@ -401,12 +374,4 @@ func (k *Kernel) popEvent() (event, bool) {
 		k.indepEvents++
 	}
 	return e, true
-}
-
-// queued returns the number of pending events across all shards.
-func (k *Kernel) queued() int {
-	if k.shards == nil {
-		return len(k.events)
-	}
-	return k.nq
 }

@@ -14,10 +14,8 @@ import (
 func stormTrace(t *testing.T, shards int) (string, ShardStats) {
 	t.Helper()
 	k := NewKernel(99)
-	if shards > 1 {
-		k.SetShards(shards)
-		k.SetLookahead(1200 * time.Nanosecond)
-	}
+	k.SetShards(shards)
+	k.SetLookahead(1200 * time.Nanosecond)
 	var log []byte
 	record := func(p *Proc, tag string) {
 		log = append(log, fmt.Sprintf("%d %s %s#%d\n", p.Now(), tag, p.Name(), p.ID())...)
@@ -30,10 +28,7 @@ func stormTrace(t *testing.T, shards int) (string, ShardStats) {
 	rng := rand.New(rand.NewSource(7)) // host-side driver, outside the kernel
 	for i := 0; i < nprocs; i++ {
 		i := i
-		sh := 0
-		if shards > 1 {
-			sh = i % shards
-		}
+		sh := i % shards
 		jitter := time.Duration(rng.Intn(5000)) * time.Nanosecond
 		k.SpawnOn(sh, fmt.Sprintf("storm%d", i), func(p *Proc) {
 			p.Sleep(jitter)
@@ -42,11 +37,7 @@ func stormTrace(t *testing.T, shards int) (string, ShardStats) {
 				// Cross-shard delivery: wake a neighbor after a fabric-like
 				// latency, routed to the neighbor's shard.
 				nb := (i + 7) % nprocs
-				nbShard := 0
-				if shards > 1 {
-					nbShard = nb % shards
-				}
-				k.AfterOn(nbShard, 1500*time.Nanosecond, func() { sigs[nb].Broadcast() })
+				k.AfterOn(nb%shards, 1500*time.Nanosecond, func() { sigs[nb].Broadcast() })
 				if step%3 == 0 {
 					// Child inherits the spawner's shard.
 					k.Spawn(fmt.Sprintf("child%d.%d", i, step), func(cp *Proc) {
@@ -77,7 +68,7 @@ func TestShardInvarianceStorm(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
 		got, st := stormTrace(t, n)
 		if got != ref {
-			t.Fatalf("schedule at shards=%d differs from single-heap schedule", n)
+			t.Fatalf("schedule at shards=%d differs from the one-shard schedule", n)
 		}
 		if st.Shards != n {
 			t.Fatalf("ShardStats.Shards = %d, want %d", st.Shards, n)
@@ -94,17 +85,15 @@ func TestShardInvarianceStorm(t *testing.T) {
 // TestShardRNGDrawOrder asserts kernel RNG draws happen in the same
 // order at every shard count: processes on different shards draw
 // interleaved by event order, and the resulting values must match the
-// single-heap run exactly.
+// one-shard run exactly.
 func TestShardRNGDrawOrder(t *testing.T) {
 	draws := func(shards int) []int64 {
 		k := NewKernel(123)
-		if shards > 1 {
-			k.SetShards(shards)
-		}
+		k.SetShards(shards)
 		var out []int64
 		for i := 0; i < 8; i++ {
 			i := i
-			k.SpawnOn(i%max(shards, 1), fmt.Sprintf("rng%d", i), func(p *Proc) {
+			k.SpawnOn(i%shards, fmt.Sprintf("rng%d", i), func(p *Proc) {
 				for s := 0; s < 5; s++ {
 					p.Sleep(time.Duration(100 + i*17))
 					out = append(out, k.Rand().Int63())
@@ -130,8 +119,8 @@ func TestShardRNGDrawOrder(t *testing.T) {
 }
 
 // TestSetShardsRebuckets verifies SetShards re-buckets events that were
-// queued before the call (root spawns), and that SetShards(1) restores
-// the single-heap layout.
+// queued before the call (root spawns), including back down to one
+// shard.
 func TestSetShardsRebuckets(t *testing.T) {
 	k := NewKernel(1)
 	var order []int
@@ -147,7 +136,7 @@ func TestSetShardsRebuckets(t *testing.T) {
 		t.Fatalf("Shards() = %d", k.Shards())
 	}
 	k.SetShards(4) // shard-to-shard rebucket
-	k.SetShards(1) // and back to the single heap
+	k.SetShards(1) // and back to one shard
 	if k.Shards() != 1 {
 		t.Fatalf("Shards() = %d", k.Shards())
 	}
@@ -212,19 +201,17 @@ func TestSetShardsAfterRunPanics(t *testing.T) {
 	k.SetShards(2)
 }
 
-// BenchmarkShardedStorm measures the sharded queue against the single
-// heap on a pure event storm (no payloads), the kernel's hot path.
+// BenchmarkShardedStorm measures four shards against one on a pure
+// event storm (no payloads), the kernel's hot path.
 func BenchmarkShardedStorm(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := NewKernel(3)
-				if shards > 1 {
-					k.SetShards(shards)
-				}
+				k.SetShards(shards)
 				for p := 0; p < 64; p++ {
 					p := p
-					k.SpawnOn(p%max(shards, 1), fmt.Sprintf("b%d", p), func(pr *Proc) {
+					k.SpawnOn(p%shards, fmt.Sprintf("b%d", p), func(pr *Proc) {
 						for s := 0; s < 2000; s++ {
 							pr.Sleep(time.Duration(50 + p))
 						}

@@ -53,22 +53,21 @@ type procKilled struct{}
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventQueue // single-heap layout (shards == nil)
-	dead    bool       // set by reclaim before stopping coroutines
-	procs   []*Proc    // every Proc with a live coroutine (for reclaim)
-	free    []*Proc    // finished procs whose coroutines await reuse
-	handoff *Proc      // proc a yielding coroutine asks Run to resume
-	live    int        // processes spawned and not yet finished
-	parked  int        // processes parked without a pending event
+	dead    bool    // set by reclaim before stopping coroutines
+	procs   []*Proc // every Proc with a live coroutine (for reclaim)
+	free    []*Proc // finished procs whose coroutines await reuse
+	handoff *Proc   // proc a yielding coroutine asks Run to resume
+	live    int     // processes spawned and not yet finished
+	parked  int     // processes parked without a pending event
 	nextID  int
 	rng     *rand.Rand
 	ran     bool
 	nev     int64      // events processed by Run
 	pool    *exec.Pool // host workers for offloaded payloads (see offload.go)
 
-	// Sharded event queue (see shard.go). shards == nil is the
-	// single-heap layout; otherwise events live in per-shard heaps and
-	// cross-shard inboxes, merged in global (time, seq) order.
+	// Event queue (see shard.go): per-shard heaps and cross-shard
+	// inboxes, merged in global (time, seq) order. Always at least one
+	// shard.
 	shards      []shardQ
 	mins        []evKey // per-shard head keys, the merge front
 	nq          int     // pending events across all shards
@@ -79,12 +78,14 @@ type Kernel struct {
 	indepEvents int64
 
 	// Parallel window dispatch (see parallel.go). par is the configured
-	// worker count; the gang, contexts and telemetry are built lazily by
-	// the first window. inWindow is true exactly while a gang round is
-	// executing shard windows; it is written only by the serial
-	// coordinator around the gang barrier, so window workers read a
-	// stable value.
+	// worker count; windowed is Run's one-time decision that windows can
+	// open at all (par > 1, several shards, a positive lookahead). The
+	// gang, contexts and telemetry are built lazily by the first window.
+	// inWindow is true exactly while a gang round is executing shard
+	// windows; it is written only by the serial coordinator around the
+	// gang barrier, so window workers read a stable value.
 	par       int
+	windowed  bool
 	gang      *exec.Gang
 	win       []*winCtx // per-shard window contexts, built lazily
 	winAt     []*winCtx // active context per shard during a window
@@ -93,10 +94,6 @@ type Kernel struct {
 	windows   int64
 	winEvents int64
 
-	// Trace, when non-nil, receives one line per scheduling decision.
-	// Intended for debugging tests; nil in normal operation.
-	Trace func(format string, args ...any)
-
 	// commitAudit, when non-nil, observes every committed event key in
 	// commit order — serial pops as they execute, window commits as the
 	// barrier fold resolves them. Test-only (the property suite asserts
@@ -104,14 +101,16 @@ type Kernel struct {
 	commitAudit func(key evKey, window bool)
 }
 
-// NewKernel returns a kernel with the given deterministic random seed.
-// The kernel attaches to the process-wide default worker pool
-// (exec.Default) for payload offloading; SetPool overrides it.
+// NewKernel returns a kernel with the given deterministic random seed and
+// one event shard. The kernel attaches to the process-wide default worker
+// pool (exec.Default) for payload offloading; SetPool overrides it.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		rng:  rand.New(rand.NewSource(seed)),
 		pool: exec.Default(),
 	}
+	k.SetShards(1)
+	return k
 }
 
 // SetPool attaches a specific worker pool (nil or size 1 = serial
@@ -196,7 +195,7 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Shard() int { return p.shard }
 
 // SetShard moves the process's future wake events to shard s (clamped
-// into range; a no-op on an unsharded kernel). An already-pending wake
+// into range; a no-op on a one-shard kernel). An already-pending wake
 // stays where it is — commit order is global, so placement is purely a
 // locality hint and never observable in simulated results.
 func (p *Proc) SetShard(s int) { p.shard = p.k.clampShard(s) }
@@ -242,7 +241,7 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // SpawnOn is Spawn with an explicit event-shard placement (clamped into
-// range; equivalent to Spawn on an unsharded kernel). Use it for
+// range; equivalent to Spawn on a one-shard kernel). Use it for
 // long-lived node-resident processes so their events land on their
 // rack's shard; short-lived children inherit the spawner's shard.
 func (k *Kernel) SpawnOn(shard int, name string, body func(p *Proc)) *Proc {
@@ -502,11 +501,10 @@ func (p *Proc) park() {
 		}
 		return
 	}
-	if k.par > 1 {
-		// Parallel dispatch configured: always yield to Run, so the
-		// dispatcher can attempt to open a window between events. Same
-		// committed order as the self-dispatch fast path, one extra
-		// coroutine switch.
+	if k.windowed {
+		// Windows can open: always yield to Run, so the dispatcher can
+		// attempt one between events. Same committed order as the
+		// self-dispatch fast path, one extra coroutine switch.
 		if !p.yield(struct{}{}) || k.dead {
 			panic(procKilled{})
 		}
@@ -605,14 +603,8 @@ func (k *Kernel) dispatchFrom(self *Proc) int {
 		}
 		k.now = e.t
 		if e.fn != nil {
-			if k.Trace != nil {
-				k.Trace("t=%v callback", k.now)
-			}
 			e.fn()
 			continue
-		}
-		if k.Trace != nil {
-			k.Trace("t=%v run %q", k.now, e.p.name)
 		}
 		e.p.pending = false
 		if e.p == self {
@@ -643,10 +635,10 @@ func (k *Kernel) Run() Time {
 	}()
 	yieldEvery := int64(2048)
 	nextYield := k.nev + yieldEvery
-	par := k.par > 1 && k.shards != nil && k.lookahead > 0
+	k.windowed = k.par > 1 && len(k.shards) > 1 && k.lookahead > 0
 	for {
 		if k.handoff == nil {
-			if par && k.Trace == nil && k.tryWindow() {
+			if k.windowed && k.tryWindow() {
 				continue
 			}
 			if k.dispatchFrom(nil) != dispHanded {
@@ -713,13 +705,16 @@ func (k *Kernel) reclaim() {
 
 // Shutdown releases a kernel's coroutines and queued events. Run already
 // reclaims the coroutines when it returns; Shutdown is for a kernel that
-// was never run, and drops the queues (and their fn closures) for GC.
-// Every step is a no-op the second time, so Shutdown is idempotent.
+// was never run, and empties the queues (dropping their fn closures for
+// GC) while keeping the shard layout and ShardStats. Every step is a
+// no-op the second time, so Shutdown is idempotent.
 func (k *Kernel) Shutdown() {
 	k.reclaim()
-	k.events = nil
-	k.shards = nil
-	k.mins = nil
+	for i := range k.shards {
+		k.shards[i] = shardQ{pops: k.shards[i].pops}
+		k.shards[i].init()
+		k.mins[i] = maxKey
+	}
 	k.nq = 0
 	k.closeGang()
 	k.win = nil
