@@ -62,8 +62,7 @@ func main() {
 		for n := 1000; n <= *scaleNodes; n *= 2 {
 			cfg.NodeCounts = append(cfg.NodeCounts, n)
 		}
-		// Without -shards the sweep keeps its plan of one shard per 8 racks.
-		flag.Visit(func(f *flag.Flag) {
+		flag.Visit(func(f *flag.Flag) { // without -shards: one shard per 8 racks
 			if f.Name == "shards" {
 				cfg.Shards = *shards
 			}

@@ -13,10 +13,8 @@ package hpcbd
 // checked on a set of rows.
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -35,22 +33,6 @@ type host struct {
 // serialHost is the reference row: one payload worker, one shard, serial
 // dispatch, fusion on.
 var serialHost = host{pool: 1, shards: 1, workers: 1}
-
-func (h host) String() string {
-	var f []string
-	for _, kv := range []struct {
-		name string
-		v    int
-	}{{"pool", h.pool}, {"shards", h.shards}, {"workers", h.workers}} {
-		if kv.v > 0 {
-			f = append(f, fmt.Sprintf("%s=%d", kv.name, kv.v))
-		}
-	}
-	if h.unfused {
-		f = append(f, "fusion=off")
-	}
-	return strings.Join(f, " ")
-}
 
 // run executes fn on host h, restoring the previous settings afterwards.
 func (h host) run(fn func()) {
@@ -72,32 +54,19 @@ func (h host) run(fn func()) {
 	fn()
 }
 
-var pool8 = host{pool: 8}
+var (
+	pool8     = host{pool: 8}
+	shardRows = counted(func(n int) host { return host{shards: n} })
+	// Windows only open on a kernel with several shards.
+	workerRows = counted(func(n int) host { return host{shards: 4, workers: n} })
+)
 
-// atCPUs returns counts plus the host's CPU count when it is larger
-// than every listed count.
-func atCPUs(counts ...int) []int {
-	if c := runtime.NumCPU(); c > counts[len(counts)-1] {
-		counts = append(counts, c)
-	}
-	return counts
-}
-
-// shardRows: shards 2, 4 and NumCPU.
-func shardRows() []host {
-	var rows []host
-	for _, n := range atCPUs(2, 4) {
-		rows = append(rows, host{shards: n})
-	}
-	return rows
-}
-
-// workerRows: dispatch workers 2, 4 and NumCPU on four shards (windows
-// only open on a sharded kernel).
-func workerRows() []host {
-	var rows []host
-	for _, n := range atCPUs(2, 4) {
-		rows = append(rows, host{shards: 4, workers: n})
+// counted returns the rows at counts 2, 4 and, when larger, the host's
+// CPU count.
+func counted(row func(n int) host) []host {
+	rows := []host{row(2), row(4)}
+	if c := runtime.NumCPU(); c > 4 {
+		rows = append(rows, row(c))
 	}
 	return rows
 }
@@ -158,17 +127,17 @@ func (a *artifact) on(t *testing.T, rows ...host) {
 		var got any
 		h.run(func() { got = a.run(o) })
 		for _, v := range a.check(a.ref, got) {
-			t.Errorf("%s on %v: %s", a.name, h, v)
+			t.Errorf("%s on %+v: %s", a.name, h, v)
 		}
 	}
 }
 
 func TestFig3PoolInvariance(t *testing.T)  { fig3.on(t, pool8) }
-func TestFig3ShardInvariance(t *testing.T) { fig3.on(t, shardRows()...) }
+func TestFig3ShardInvariance(t *testing.T) { fig3.on(t, shardRows...) }
 
 func TestFig4PoolInvariance(t *testing.T)   { fig4.on(t, pool8) }
-func TestFig4ShardInvariance(t *testing.T)  { fig4.on(t, shardRows()...) }
-func TestFig4WorkerInvariance(t *testing.T) { fig4.on(t, workerRows()...) }
+func TestFig4ShardInvariance(t *testing.T)  { fig4.on(t, shardRows...) }
+func TestFig4WorkerInvariance(t *testing.T) { fig4.on(t, workerRows...) }
 func TestShardAndPoolInvariance(t *testing.T) {
 	fig4.on(t, host{pool: 8, shards: 4})
 }
@@ -177,10 +146,10 @@ func TestShardWorkerPoolInvariance(t *testing.T) {
 }
 
 func TestFig6PoolInvariance(t *testing.T)  { fig6.on(t, pool8) }
-func TestFig6ShardInvariance(t *testing.T) { fig6.on(t, shardRows()...) }
+func TestFig6ShardInvariance(t *testing.T) { fig6.on(t, shardRows...) }
 
 func TestFig7PoolInvariance(t *testing.T)   { fig7.on(t, pool8) }
-func TestFig7ShardInvariance(t *testing.T)  { fig7.on(t, shardRows()...) }
+func TestFig7ShardInvariance(t *testing.T)  { fig7.on(t, shardRows...) }
 func TestFig7FusionInvariance(t *testing.T) { fig7.on(t, host{unfused: true}) }
 
 func TestMasterSweepPoolInvariance(t *testing.T) { masterSweep.on(t, pool8) }
