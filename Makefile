@@ -1,13 +1,18 @@
-# Repro harness. `make verify` is the CI gate: build, vet, the full test
+# Repro harness. `make verify` is the CI gate: gofmt, build, vet, the full test
 # suite, the race detector over the quick configurations (with a
 # repeated-run soak of the schedulers and the reliable transport), and
 # the quick fault-injection sweeps.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test vet race chaos verify bench benchcmp bench-quick bench-shards bench-parallel profile experiments ledger ledger-test
+.PHONY: all fmt build test vet race chaos verify bench benchcmp bench-quick bench-shards bench-parallel profile experiments ledger ledger-test
 
 all: verify
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -24,7 +29,7 @@ race:
 	# Multi-shard, parallel-dispatch soak: the quick suite with concurrent
 	# sweep points on a 4-way sharded kernel, serial between windows of 4
 	# workers — the race detector sees every gang worker touch the shard
-	# heaps, inboxes and op logs.
+	# queues, inboxes and op logs.
 	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/mpi/...
 	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -short -count=1 .
 	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/core/...
@@ -35,7 +40,7 @@ race:
 chaos:
 	$(GO) run ./cmd/chaos-bench -quick
 
-verify: build vet test race chaos
+verify: fmt build vet test race chaos
 	@echo "verify: OK"
 
 # Regenerate every paper artifact at full scale (slow), recording host

@@ -19,7 +19,7 @@
 //  4. RDA (the §VIII convergence prototype): Spark-style lineage recovery
 //     on the HPC runtime, compared with its own checkpoints.
 //
-//	go run ./examples/faulttolerance
+//     go run ./examples/faulttolerance
 package main
 
 import (

@@ -61,9 +61,9 @@ type OverloadPoint struct {
 	PressurePct float64 // RAM fraction hogged per node, percent
 	Mitigate    bool
 
-	JobsDone   int // completed with an oracle-correct result
-	JobsFailed int // admitted but failed (OOM spiral, stage abort)
-	JobsShed   int // refused by the admission gate (on arm only)
+	JobsDone   int  // completed with an oracle-correct result
+	JobsFailed int  // admitted but failed (OOM spiral, stage abort)
+	JobsShed   int  // refused by the admission gate (on arm only)
 	Completed  bool // every submitted job accounted for
 
 	JobP50     float64 // seconds, over completed jobs

@@ -81,7 +81,7 @@ func TestForEachStopsClaimingAfterPanic(t *testing.T) {
 	var ran atomic.Int32
 	func() {
 		defer func() { _ = recover() }()
-		ForEach(1 << 16, func(i int) {
+		ForEach(1<<16, func(i int) {
 			ran.Add(1)
 			if i == 0 {
 				panic("early")

@@ -155,10 +155,10 @@ type Group struct {
 	Failovers       int
 	EntriesLogged   int64
 	BytesReplicated int64
-	ReplDropped     int64 // entry-replications that never reached a standby
-	QuorumFailures  int64 // appends that could not assemble a quorum
-	StepDowns       int64 // leaders that lost authority (fenced refusal or truncation)
-	LostAcked       int64 // acknowledged entries later truncated (split-brain loss)
+	ReplDropped     int64         // entry-replications that never reached a standby
+	QuorumFailures  int64         // appends that could not assemble a quorum
+	StepDowns       int64         // leaders that lost authority (fenced refusal or truncation)
+	LostAcked       int64         // acknowledged entries later truncated (split-brain loss)
 	LastRecovery    time.Duration // lease wait + election + replay of the latest failover
 	TotalRecovery   time.Duration
 }

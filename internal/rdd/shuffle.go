@@ -516,7 +516,7 @@ func mergeGroup[K comparable, V any](buckets [][]KV[K, V]) []KV[K, []V] {
 	off := 0
 	for g := range res {
 		c := int(cnt[g])
-		res[g].V = flat[off:off:off+c]
+		res[g].V = flat[off : off : off+c]
 		off += c
 	}
 	ri = 0

@@ -47,9 +47,9 @@ import (
 //     coordinator replays the logs in merged commit order — which a
 //     straightforward induction shows is the serial commit order — and
 //     assigns real sequence numbers and ids exactly as the serial
-//     kernel would have. Provisional numbers on leftover generated
-//     events are rewritten in place; the rewrite is monotone per shard,
-//     so heap order is undisturbed.
+//     kernel would have. Leftover generated events move to the shard's
+//     confined queue with their provisional numbers resolved; the
+//     rewrite is monotone per shard, so their relative order holds.
 //
 //   - A window opens (or not) as a pure function of the queue state,
 //     never of worker count or host timing, so the window schedule —
@@ -103,7 +103,7 @@ const (
 // winOp is one logged side effect. Pushes are logged in execution
 // order; the j-th push of a context resolves provisional number
 // provBase+j. Local (same-shard) pushes log only the slot — the event
-// itself sits in the context's generated-event heap. Cross-shard posts
+// itself sits in the context's generated-event queue. Cross-shard posts
 // carry the full event and destination; they are withheld from the
 // destination until the fold, where they arrive with a real sequence
 // number (and, being at or beyond the bound, cannot have been needed
@@ -125,10 +125,10 @@ type winCommit struct {
 
 // winCtx executes one shard's confined window. Exactly one gang worker
 // runs a context at a time; everything it touches — the shard's
-// confined heap and inbox, the context's own logs and pools, the
+// confined queue and inbox, the context's own logs and pools, the
 // processes it resumes — is owned by that worker for the duration of
 // the window. The context persists across windows to reuse its
-// allocations (logs, generated-event heap, coroutine pool).
+// allocations (logs, generated-event queue, coroutine pool).
 type winCtx struct {
 	k     *Kernel
 	shard int
@@ -209,7 +209,7 @@ func (w *winCtx) schedule(t Time, p *Proc) {
 
 // spawn creates a process inside the window: context-local coroutine
 // reuse, provisional id (renumbered at the fold), start event in the
-// window's generated heap.
+// window's generated queue.
 func (w *winCtx) spawn(name string, body func(p *Proc), shard int, confined bool) *Proc {
 	if shard != w.shard {
 		panic(fmt.Sprintf("sim: spawn of %q crosses shards inside a parallel window", name))
@@ -241,7 +241,7 @@ func (w *winCtx) spawn(name string, body func(p *Proc), shard int, confined bool
 // run executes the shard's confined window to its bound: fold the
 // confined inbox once (no confined cross-shard traffic can arrive
 // mid-window), then dispatch exactly like Run's serial loop, but
-// against the shard's confined heap and the window's generated heap.
+// against the shard's confined queue and the window's generated queue.
 func (w *winCtx) run() {
 	s := &w.k.shards[w.shard]
 	if len(s.cinbox) > 0 {
@@ -262,25 +262,17 @@ func (w *winCtx) run() {
 }
 
 // dispatchFrom is the window-local analogue of Kernel.dispatchFrom: pop
-// the earliest event below the bound from the shard's confined heap or
-// the window's generated heap, run callbacks inline, hand process
+// the earliest event below the bound from the shard's confined queue or
+// the window's generated queue, run callbacks inline, hand process
 // wakes off (or keep running on dispSelf).
 func (w *winCtx) dispatchFrom(self *Proc) int {
 	s := &w.k.shards[w.shard]
 	for {
-		var src *eventQueue
-		hk := maxKey
-		if len(s.conf) > 0 {
-			hk = evKey{t: s.conf[0].t, seq: s.conf[0].seq}
-			src = &s.conf
+		src, hk := &s.conf, s.conf.minKey()
+		if gk := w.gen.minKey(); gk.less(hk) {
+			src, hk = &w.gen, gk
 		}
-		if len(w.gen) > 0 {
-			if gk := (evKey{t: w.gen[0].t, seq: w.gen[0].seq}); gk.less(hk) {
-				hk = gk
-				src = &w.gen
-			}
-		}
-		if src == nil || !hk.less(w.bound) {
+		if !hk.less(w.bound) {
 			return dispDrained
 		}
 		e := src.pop()
@@ -434,12 +426,11 @@ func (k *Kernel) fold() {
 	}
 	for _, w := range k.winRun {
 		s := &k.shards[w.shard]
-		for i, e := range w.gen {
+		for w.gen.len() > 0 {
+			e := w.gen.pop()
 			e.seq = w.resolved[e.seq-provBase]
 			s.conf.push(e)
-			w.gen[i] = event{} // release fn closures and proc refs
 		}
-		w.gen = w.gen[:0]
 		k.nev += w.nev
 		k.winEvents += w.nev
 		// Window events are independent by construction — each shard

@@ -316,8 +316,8 @@ func TestInboxShrinkRetention(t *testing.T) {
 	if cap(s.cinbox) != 0 {
 		t.Errorf("confined burst past threshold: cap=%d retained, want released", cap(s.cinbox))
 	}
-	if len(s.conf) != inboxShrinkCap+1 || len(s.synq) != 64 {
-		t.Errorf("events lost in drain: conf holds %d, synq holds %d", len(s.conf), len(s.synq))
+	if s.conf.len() != inboxShrinkCap+1 || s.synq.len() != 64 {
+		t.Errorf("events lost in drain: conf holds %d, synq holds %d", s.conf.len(), s.synq.len())
 	}
 	// Steady state after the shrink: the next small burst re-grows and is
 	// retained again.

@@ -10,8 +10,9 @@ import (
 //
 // The kernel's event queue is a set of event shards — one by default,
 // one per rack or group of racks when a cluster asks for more — each
-// holding its own 4-ary event heaps plus inboxes for events that cross
-// shard boundaries. The dispatcher merges shard heads in strict
+// holding its own event queues (same-timestamp runs under a 4-ary run
+// heap, see queue.go) plus inboxes for events that cross shard
+// boundaries. The dispatcher merges shard heads in strict
 // (time, seq) order; one shard is simply the degenerate merge front, and
 // there is no other serial dispatch path. The committed event order is
 // the global (time, seq) total order, bit for bit, at every shard count:
@@ -42,18 +43,20 @@ import (
 //
 // Why shard at all, when commits stay globally ordered? Three reasons:
 //
-//   - Heap locality. A 10,000-node sweep keeps hundreds of thousands of
-//     pending events; one 4-ary heap that size walks cache-missing
-//     sift chains on every operation. Per-rack heaps are a few thousand
-//     entries each — sift paths stay in cache — and the merge front is a
+//   - Queue locality. A 10,000-node sweep keeps hundreds of thousands of
+//     pending events. Lockstep bursts collapse into a few runs, but
+//     events at distinct times (timers, retransmits, unsynchronized
+//     sleepers) are one run each, and a run heap that size walks
+//     cache-missing sift chains. Per-rack queues hold a few thousand
+//     events each — sift paths stay in cache — and the merge front is a
 //     flat array of per-shard (time, seq) keys scanned in one or two
 //     cache lines.
 //
 //   - Cross-shard batching. An event posted to another shard (a fabric
 //     delivery, a remote wake) appends to the destination's inbox in
-//     O(1) instead of sifting into its heap immediately. The inbox is
+//     O(1) instead of entering its queue immediately. The inbox is
 //     folded in only when the merge front actually needs that shard's
-//     head, so bursts of remote traffic heapify in batches.
+//     head, so bursts of remote traffic are queued in batches.
 //
 //   - Conservative-lookahead parallel execution. Each shard publishes
 //     the lower bound on its future sends (LBTS: its next event time
@@ -87,9 +90,9 @@ func (a evKey) less(b evKey) bool {
 // array is recycled as before — steady-state traffic never reallocates.
 const inboxShrinkCap = 4096
 
-// shardQ is one event shard: class-separated 4-ary heaps plus
-// cross-shard inboxes. The inboxes defer heap insertion of events posted
-// from other shards; each is folded into its heap only when the merge
+// shardQ is one event shard: class-separated event queues plus
+// cross-shard inboxes. The inboxes defer queue insertion of events posted
+// from other shards; each is folded into its queue only when the merge
 // front (or a window build) selects this shard at its inbox minimum.
 type shardQ struct {
 	conf   eventQueue // confined-class events (window-eligible)
@@ -108,7 +111,7 @@ func (s *shardQ) init() {
 }
 
 // minKey returns the shard's head key: the global minimum over both
-// heaps and both inboxes (maxKey when the shard is empty).
+// queues and both inboxes (maxKey when the shard is empty).
 func (s *shardQ) minKey() evKey {
 	k := s.confMin()
 	if sk := s.syncMin(); sk.less(k) {
@@ -117,28 +120,22 @@ func (s *shardQ) minKey() evKey {
 	return k
 }
 
-// confMin returns the earliest confined-class key (heap or inbox).
+// confMin returns the earliest confined-class key (queue or inbox).
 func (s *shardQ) confMin() evKey {
-	k := s.cmin
-	if len(s.conf) > 0 {
-		if hk := (evKey{t: s.conf[0].t, seq: s.conf[0].seq}); hk.less(k) {
-			k = hk
-		}
+	if k := s.conf.minKey(); k.less(s.cmin) {
+		return k
 	}
-	return k
+	return s.cmin
 }
 
-// syncMin returns the earliest synchronized-class key (heap or inbox).
+// syncMin returns the earliest synchronized-class key (queue or inbox).
 // This is the O(1) per-shard bound the window executor needs: no
 // confined event at or beyond this key may run off the serial loop.
 func (s *shardQ) syncMin() evKey {
-	k := s.smin
-	if len(s.synq) > 0 {
-		if hk := (evKey{t: s.synq[0].t, seq: s.synq[0].seq}); hk.less(k) {
-			k = hk
-		}
+	if k := s.synq.minKey(); k.less(s.smin) {
+		return k
 	}
-	return k
+	return s.smin
 }
 
 // shrunk returns the inbox slice to retain after a fold: the backing
@@ -151,7 +148,7 @@ func shrunk(b []event) []event {
 	return b[:0]
 }
 
-// drainConf folds the confined inbox into the confined heap.
+// drainConf folds the confined inbox into the confined queue.
 func (s *shardQ) drainConf() {
 	for i := range s.cinbox {
 		s.conf.push(s.cinbox[i])
@@ -161,7 +158,7 @@ func (s *shardQ) drainConf() {
 	s.cmin = maxKey
 }
 
-// drainSync folds the synchronized inbox into the synchronized heap.
+// drainSync folds the synchronized inbox into the synchronized queue.
 func (s *shardQ) drainSync() {
 	for i := range s.sinbox {
 		s.synq.push(s.sinbox[i])
@@ -213,8 +210,12 @@ func (k *Kernel) SetShards(n int) {
 	var pending []event
 	for i := range k.shards {
 		s := &k.shards[i]
-		pending = append(pending, s.conf...)
-		pending = append(pending, s.synq...)
+		for s.conf.len() > 0 {
+			pending = append(pending, s.conf.pop())
+		}
+		for s.synq.len() > 0 {
+			pending = append(pending, s.synq.pop())
+		}
 		pending = append(pending, s.cinbox...)
 		pending = append(pending, s.sinbox...)
 	}
@@ -286,8 +287,8 @@ func (k *Kernel) clampShard(s int) int {
 }
 
 // pushEvent enqueues e on shard sh with the given class. Same-shard
-// events sift into the shard heap directly; cross-shard events append to
-// the destination inbox in O(1) and heapify in batches at drain time.
+// events enter the shard's queue directly; cross-shard events append to
+// the destination inbox in O(1) and are queued in batches at drain time.
 func (k *Kernel) pushEvent(e event, sh int, sync bool) {
 	s := &k.shards[sh]
 	ek := evKey{t: e.t, seq: e.seq}
@@ -353,7 +354,7 @@ func (k *Kernel) popEvent() (event, bool) {
 		k.drains++
 	}
 	var e event
-	if len(s.conf) > 0 && s.conf[0].t == bk.t && s.conf[0].seq == bk.seq {
+	if s.conf.minKey() == bk {
 		e = s.conf.pop()
 	} else {
 		e = s.synq.pop()

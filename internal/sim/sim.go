@@ -65,7 +65,7 @@ type Kernel struct {
 	nev     int64      // events processed by Run
 	pool    *exec.Pool // host workers for offloaded payloads (see offload.go)
 
-	// Event queue (see shard.go): per-shard heaps and cross-shard
+	// Event queue (see shard.go): per-shard run queues and cross-shard
 	// inboxes, merged in global (time, seq) order. Always at least one
 	// shard.
 	shards      []shardQ
@@ -689,9 +689,10 @@ func (k *Kernel) Live() int { return k.live }
 // without ever running it. Run reclaims on return — a kernel cannot run
 // twice, so nothing could resume them, and a parked goroutine is a GC
 // root that would pin the whole simulation behind it. What callers read
-// after Run stays: Events, ShardStats and the queues are untouched, and
-// Blocked keeps its end-of-run value even when an unwinding body's
-// deferred calls wake other processes.
+// after Run stays: Events, ShardStats and every pending event are
+// untouched (only drained queues hand their storage on, see
+// eventQueue.release), and Blocked keeps its end-of-run value even when
+// an unwinding body's deferred calls wake other processes.
 func (k *Kernel) reclaim() {
 	k.dead = true
 	parked := k.parked
@@ -701,6 +702,15 @@ func (k *Kernel) reclaim() {
 	k.parked = parked
 	k.procs = nil
 	k.free = nil
+	for i := range k.shards {
+		k.shards[i].conf.release()
+		k.shards[i].synq.release()
+	}
+	for _, w := range k.win {
+		if w != nil {
+			w.gen.release()
+		}
+	}
 }
 
 // Shutdown releases a kernel's coroutines and queued events. Run already

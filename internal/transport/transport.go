@@ -186,12 +186,12 @@ func (c Config) withDefaults() Config {
 
 // Stats counts what a transport did. All fields are cumulative.
 type Stats struct {
-	Sent      int64 // logical messages submitted
-	Delivered int64 // messages acknowledged delivered
-	Retries   int64 // re-transmission attempts
-	Timeouts  int64 // attempts that timed out (lost data or lost ack)
-	Losses    int64 // data frames the network ate
-	AckLosses int64 // delivered frames whose ack was lost (duplicate risk)
+	Sent       int64 // logical messages submitted
+	Delivered  int64 // messages acknowledged delivered
+	Retries    int64 // re-transmission attempts
+	Timeouts   int64 // attempts that timed out (lost data or lost ack)
+	Losses     int64 // data frames the network ate
+	AckLosses  int64 // delivered frames whose ack was lost (duplicate risk)
 	Duplicates int64 // retransmissions the receiver recognized and dropped
 
 	CorruptDropped   int64 // corrupt frames caught by Verify and discarded
