@@ -34,7 +34,7 @@ func Table1() Table {
 
 // Fig3 reproduces the reduce microbenchmark (Fig 3): reduce latency vs
 // message size for MPI, Spark and Spark-RDMA on ReduceNodes x ReducePPN
-// processes.
+// processes. It runs serially: the 1 MiB MPI reduce alone peaks near 640 MB RSS.
 func Fig3(o Options) Figure {
 	fig := Figure{
 		ID:     "fig3",

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"hpcbd/internal/cluster"
 	"hpcbd/internal/exec"
 	"hpcbd/internal/workload"
 )
@@ -12,115 +14,97 @@ func newGraph(o Options) *workload.Graph {
 	return workload.NewGraph(o.Seed, o.PRPhysVertices, o.PRLogicalVertices, o.PRAvgDegree)
 }
 
+// job is one independent simulation run on a cluster of the given size.
+type job struct {
+	nodes int
+	run   func()
+}
+
+// runLargestFirst runs the jobs concurrently on exec.ForEach, largest
+// cluster first, so the longest runs start while shorter ones remain to
+// overlap them. Each job must write only its own result slot.
+func runLargestFirst(jobs []job) {
+	slices.SortStableFunc(jobs, func(a, b job) int { return b.nodes - a.nodes })
+	exec.ForEach(len(jobs), func(i int) { jobs[i].run() })
+}
+
+// prSeries is one PageRank series: a name and how to run it on a cluster.
+type prSeries struct {
+	name string
+	run  func(c *cluster.Cluster, g *workload.Graph, nodes int) PRResult
+}
+
+func sparkPR(o Options, name string, tuned, rdma bool) prSeries {
+	return prSeries{name, func(c *cluster.Cluster, g *workload.Graph, nodes int) PRResult {
+		return SparkPageRank(c, g, nodes, o.PRPPN, o.PRIters, tuned, rdma)
+	}}
+}
+
+// pageRankFigure runs every series at every node count as its own job —
+// own kernel and cluster, one shared read-only graph — and assembles the
+// figure by index, so it is identical at any host parallelism. The ranks
+// are each series' vectors at the last, largest, node count (what
+// CheckFig6/7 compare with the serial oracle), plus the oracle's.
+func pageRankFigure(o Options, fig Figure, series ...prSeries) (Figure, map[string][]float64) {
+	g := newGraph(o)
+	res := make([][]PRResult, len(series))
+	var jobs []job
+	for s := range series {
+		res[s] = make([]PRResult, len(o.PRNodes))
+		for i, nodes := range o.PRNodes {
+			jobs = append(jobs, job{nodes, func() {
+				res[s][i] = series[s].run(newCluster(o.Seed, nodes), g, nodes)
+			}})
+		}
+	}
+	runLargestFirst(jobs)
+	ranks := map[string][]float64{"Serial": g.SerialPageRank(o.PRIters)}
+	for s, sr := range series {
+		fig.Series = append(fig.Series, Series{Name: sr.name})
+		for i, r := range res[s] {
+			fig.Series[s].Points = append(fig.Series[s].Points, Point{X: float64(o.PRNodes[i]), Y: r.Seconds, OK: r.Err == nil})
+			ranks[sr.name] = r.Ranks
+		}
+	}
+	return fig, ranks
+}
+
 // Fig6 reproduces the BigDataBench PageRank benchmark (Fig 6): execution
 // time vs node count for MPI, tuned Spark, and tuned Spark with the RDMA
 // shuffle plugin. The second return value carries the final ranks per
 // series for cross-checking against the serial oracle.
-//
-// Node-count points run concurrently (each point owns its kernel, cluster
-// and graph); the three series within a point stay sequential because
-// they share the point's graph. Assembly is by index, so the figure is
-// identical at any host parallelism.
 func Fig6(o Options) (Figure, map[string][]float64) {
-	fig := Figure{
+	mpiPR := prSeries{"MPI", func(c *cluster.Cluster, g *workload.Graph, nodes int) PRResult {
+		return MPIPageRank(c, g, nodes*o.PRPPN, o.PRPPN, o.PRIters)
+	}}
+	return pageRankFigure(o, Figure{
 		ID:     "fig6",
 		Title:  fmt.Sprintf("BigDataBench PageRank, %d vertices (%d processes/node)", o.PRLogicalVertices, o.PRPPN),
 		XLabel: "nodes",
 		YLabel: "time (s)",
-		Series: []Series{{Name: "MPI"}, {Name: "Spark"}, {Name: "Spark-RDMA"}},
-	}
-	type prPoint struct {
-		mpi, spark, rdma                Point
-		mpiRanks, sparkRanks, rdmaRanks []float64
-	}
-	pts := make([]prPoint, len(o.PRNodes))
-	exec.ForEach(len(o.PRNodes), func(i int) {
-		nodes := o.PRNodes[i]
-		x := float64(nodes)
-		g := newGraph(o)
-		pt := &pts[i]
-		{
-			c := newCluster(o.Seed, nodes)
-			r := MPIPageRank(c, g, nodes*o.PRPPN, o.PRPPN, o.PRIters)
-			pt.mpi = Point{X: x, Y: r.Seconds, OK: r.Err == nil}
-			pt.mpiRanks = r.Ranks
-		}
-		{
-			c := newCluster(o.Seed, nodes)
-			r := SparkPageRank(c, g, nodes, o.PRPPN, o.PRIters, true, false)
-			pt.spark = Point{X: x, Y: r.Seconds, OK: r.Err == nil}
-			pt.sparkRanks = r.Ranks
-		}
-		{
-			c := newCluster(o.Seed, nodes)
-			r := SparkPageRank(c, g, nodes, o.PRPPN, o.PRIters, true, true)
-			pt.rdma = Point{X: x, Y: r.Seconds, OK: r.Err == nil}
-			pt.rdmaRanks = r.Ranks
-		}
-	})
-	ranks := map[string][]float64{}
-	for i := range pts {
-		fig.Series[0].Points = append(fig.Series[0].Points, pts[i].mpi)
-		fig.Series[1].Points = append(fig.Series[1].Points, pts[i].spark)
-		fig.Series[2].Points = append(fig.Series[2].Points, pts[i].rdma)
-		ranks["MPI"] = pts[i].mpiRanks
-		ranks["Spark"] = pts[i].sparkRanks
-		ranks["Spark-RDMA"] = pts[i].rdmaRanks
-	}
-	ranks["Serial"] = newGraph(o).SerialPageRank(o.PRIters)
-	return fig, ranks
+	}, mpiPR, sparkPR(o, "Spark", true, false), sparkPR(o, "Spark-RDMA", true, true))
 }
 
 // Fig7 reproduces the HiBench PageRank benchmark (Fig 7): the untuned,
 // shuffle-heavy Spark variant with and without the RDMA shuffle engine.
 func Fig7(o Options) (Figure, map[string][]float64) {
-	fig := Figure{
+	return pageRankFigure(o, Figure{
 		ID:     "fig7",
 		Title:  fmt.Sprintf("HiBench PageRank, %d vertices (%d processes/node)", o.PRLogicalVertices, o.PRPPN),
 		XLabel: "nodes",
 		YLabel: "time (s)",
-		Series: []Series{{Name: "Spark"}, {Name: "Spark-RDMA"}},
-	}
-	type prPoint struct {
-		spark, rdma           Point
-		sparkRanks, rdmaRanks []float64
-	}
-	pts := make([]prPoint, len(o.PRNodes))
-	exec.ForEach(len(o.PRNodes), func(i int) {
-		nodes := o.PRNodes[i]
-		x := float64(nodes)
-		g := newGraph(o)
-		pt := &pts[i]
-		{
-			c := newCluster(o.Seed, nodes)
-			r := SparkPageRank(c, g, nodes, o.PRPPN, o.PRIters, false, false)
-			pt.spark = Point{X: x, Y: r.Seconds, OK: r.Err == nil}
-			pt.sparkRanks = r.Ranks
-		}
-		{
-			c := newCluster(o.Seed, nodes)
-			r := SparkPageRank(c, g, nodes, o.PRPPN, o.PRIters, false, true)
-			pt.rdma = Point{X: x, Y: r.Seconds, OK: r.Err == nil}
-			pt.rdmaRanks = r.Ranks
-		}
-	})
-	ranks := map[string][]float64{}
-	for i := range pts {
-		fig.Series[0].Points = append(fig.Series[0].Points, pts[i].spark)
-		fig.Series[1].Points = append(fig.Series[1].Points, pts[i].rdma)
-		ranks["Spark"] = pts[i].sparkRanks
-		ranks["Spark-RDMA"] = pts[i].rdmaRanks
-	}
-	ranks["Serial"] = newGraph(o).SerialPageRank(o.PRIters)
-	return fig, ranks
+	}, sparkPR(o, "Spark", false, false), sparkPR(o, "Spark-RDMA", false, true))
 }
 
 // AblationPersist quantifies the paper's §VI-C claim that persisting
 // intermediate RDDs improves PageRank "by a factor of 3": tuned vs
-// untuned Spark at a fixed node count.
+// untuned Spark at a fixed node count, run as two concurrent jobs.
 func AblationPersist(o Options, nodes int) (tuned, untuned float64) {
 	g := newGraph(o)
-	t := SparkPageRank(newCluster(o.Seed, nodes), g, nodes, o.PRPPN, o.PRIters, true, false)
-	u := SparkPageRank(newCluster(o.Seed, nodes), g, nodes, o.PRPPN, o.PRIters, false, false)
+	var t, u PRResult
+	runLargestFirst([]job{
+		{nodes, func() { t = SparkPageRank(newCluster(o.Seed, nodes), g, nodes, o.PRPPN, o.PRIters, true, false) }},
+		{nodes, func() { u = SparkPageRank(newCluster(o.Seed, nodes), g, nodes, o.PRPPN, o.PRIters, false, false) }},
+	})
 	return t.Seconds, u.Seconds
 }

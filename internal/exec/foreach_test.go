@@ -7,6 +7,7 @@ import (
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
+	t.Cleanup(func() { SetForEachWidth(0) })
 	for _, width := range []int{0, 1, 2, 4} {
 		SetForEachWidth(width)
 		const n = 137
@@ -18,7 +19,6 @@ func TestForEachCoversAllIndices(t *testing.T) {
 			}
 		}
 	}
-	SetForEachWidth(0)
 }
 
 func TestForEachSerialWhenWidthOne(t *testing.T) {
@@ -48,6 +48,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 	// A panicking point must neither hang the width-N run (lost worker,
 	// stuck wg.Wait) nor kill the process; the panic with the lowest
 	// index must reach the caller at every width, including serial.
+	t.Cleanup(func() { SetForEachWidth(0) })
 	for _, width := range []int{1, 2, 4, 8} {
 		SetForEachWidth(width)
 		var ran atomic.Int32
@@ -72,7 +73,6 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Fatalf("width=%d: nothing ran", width)
 		}
 	}
-	SetForEachWidth(0)
 }
 
 func TestForEachStopsClaimingAfterPanic(t *testing.T) {

@@ -24,15 +24,17 @@ import (
 
 // host is one row: a host configuration. Zero fields keep the process
 // setting (an HPCBD_SHARDS / HPCBD_WORKERS override, the GOMAXPROCS
-// pool), so the race soak's environment composes with every row.
+// pool, the CPU-budget ForEach width), so the race soak's environment
+// composes with every row.
 type host struct {
 	pool, shards, workers int
+	width                 int // exec.ForEach width: sweep points or runs in flight
 	unfused               bool
 }
 
 // serialHost is the reference row: one payload worker, one shard, serial
-// dispatch, fusion on.
-var serialHost = host{pool: 1, shards: 1, workers: 1}
+// dispatch, one sweep point or run at a time, fusion on.
+var serialHost = host{pool: 1, shards: 1, workers: 1, width: 1}
 
 // run executes fn on host h, restoring the previous settings afterwards.
 func (h host) run(fn func()) {
@@ -47,6 +49,10 @@ func (h host) run(fn func()) {
 	if h.workers > 0 {
 		defer SetWorkers(Workers())
 		SetWorkers(h.workers)
+	}
+	if h.width > 0 {
+		exec.SetForEachWidth(h.width)
+		defer exec.SetForEachWidth(0)
 	}
 	if h.unfused {
 		defer rdd.SetFusion(rdd.SetFusion(false))
@@ -145,11 +151,16 @@ func TestShardWorkerPoolInvariance(t *testing.T) {
 	fig4.on(t, host{pool: 8, shards: 4, workers: 4})
 }
 
+// The width rows run Fig 6 and 7's per-run jobs four at a time against
+// one at a time in the reference: assembly by completion order would
+// show up as a difference.
 func TestFig6PoolInvariance(t *testing.T)  { fig6.on(t, pool8) }
 func TestFig6ShardInvariance(t *testing.T) { fig6.on(t, shardRows...) }
+func TestFig6WidthInvariance(t *testing.T) { fig6.on(t, host{width: 4}) }
 
 func TestFig7PoolInvariance(t *testing.T)   { fig7.on(t, pool8) }
 func TestFig7ShardInvariance(t *testing.T)  { fig7.on(t, shardRows...) }
+func TestFig7WidthInvariance(t *testing.T)  { fig7.on(t, host{width: 4}) }
 func TestFig7FusionInvariance(t *testing.T) { fig7.on(t, host{unfused: true}) }
 
 func TestMasterSweepPoolInvariance(t *testing.T) { masterSweep.on(t, pool8) }
