@@ -1,10 +1,11 @@
 package hpcbd_test
 
-// Golden digests: every paper artifact at paper scale and the quick
-// fault-injection sweeps, rendered with %#v and pinned as one SHA-256
-// per artifact in testdata/golden.sum. A change that moves any simulated
-// output — a virtual time, a counter, a rank — fails here and names the
-// artifact. Deliberate re-baselines rewrite the file:
+// Golden digests: every paper artifact at paper scale, Table III's line
+// counts and the six quick fault-injection sweeps, rendered with %#v and
+// pinned as one SHA-256 per artifact in testdata/golden.sum. A change
+// that moves any simulated output — a virtual time, a counter, a rank —
+// or a line inside a Table III region fails here and names the artifact.
+// Deliberate re-baselines rewrite the file:
 //
 //	go test -run TestGolden . -update
 
@@ -28,12 +29,16 @@ const goldenSum = "testdata/golden.sum"
 // rendering.
 type goldenArtifact struct{ name, text string }
 
-func goldenArtifacts() []goldenArtifact {
+func goldenArtifacts(t *testing.T) []goldenArtifact {
 	q := hpcbd.QuickOptions()
 	f := hpcbd.FullOptions()
 	fig4, res4 := hpcbd.Fig4(f)
 	fig6, ranks6 := hpcbd.Fig6(f)
 	fig7, ranks7 := hpcbd.Fig7(f)
+	table3, err := hpcbd.Table3()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []goldenArtifact{
 		{"fig3", fmt.Sprintf("%#v", hpcbd.Fig3(f))},
 		{"table2", fmt.Sprintf("%#v", hpcbd.Table2Values(f))},
@@ -46,6 +51,10 @@ func goldenArtifacts() []goldenArtifact {
 		{"chaos-quick", fmt.Sprintf("%#v", hpcbd.ChaosSweep(q))},
 		{"transport-quick", fmt.Sprintf("%#v", hpcbd.TransportSweep(q))},
 		{"partition-quick", fmt.Sprintf("%#v", hpcbd.PartitionSweep(q))},
+		{"master-quick", fmt.Sprintf("%#v", hpcbd.MasterSweep(q))},
+		{"tail-quick", fmt.Sprintf("%#v", hpcbd.TailSweep(q))},
+		{"overload-quick", fmt.Sprintf("%#v", hpcbd.OverloadSweep(q))},
+		{"table3", fmt.Sprintf("%#v", table3)},
 	}
 }
 
@@ -58,7 +67,7 @@ func TestGolden(t *testing.T) {
 	}
 	var sum strings.Builder
 	got := map[string]string{}
-	arts := goldenArtifacts()
+	arts := goldenArtifacts(t)
 	for _, a := range arts {
 		got[a.name] = fmt.Sprintf("%x", sha256.Sum256([]byte(a.text)))
 		fmt.Fprintf(&sum, "%s  %s\n", got[a.name], a.name)
