@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hpcbd"
 )
@@ -62,8 +63,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var bad []string
-	var tabs []hpcbd.Table
+	var rep report
+	var oks []string
 	out := struct {
 		Chaos     *hpcbd.ChaosSweepResult     `json:"chaos,omitempty"`
 		Transport *hpcbd.TransportSweepResult `json:"transport,omitempty"`
@@ -72,56 +73,23 @@ func main() {
 		Tail      *hpcbd.TailSweepResult      `json:"tail,omitempty"`
 		Overload  *hpcbd.OverloadSweepResult  `json:"overload,omitempty"`
 	}{}
-	okMsg := ""
-
 	if runFault {
-		a := hpcbd.ChaosSweep(o)
-		b := hpcbd.ChaosSweep(o) // second run, same seed: must match a exactly
-		ta := hpcbd.TransportSweep(o)
-		tb := hpcbd.TransportSweep(o)
-		ma := hpcbd.MasterSweep(o)
-		mb := hpcbd.MasterSweep(o)
-		out.Chaos, out.Transport, out.Master = &a, &ta, &ma
-		tabs = append(tabs, hpcbd.ChaosTables(a)...)
-		tabs = append(tabs, hpcbd.TransportTables(ta)...)
-		tabs = append(tabs, hpcbd.MasterTables(ma)...)
-		bad = append(bad, hpcbd.CheckChaosSweep(a, b)...)
-		bad = append(bad, hpcbd.CheckTransportSweep(ta, tb)...)
-		bad = append(bad, hpcbd.CheckMasterSweep(ma, mb)...)
-		okMsg = "deterministic; Spark and Hadoop complete under chaos, loss, corruption and partitions with oracle-correct results; no corrupt byte served; plain MPI deadlocks on loss; resilient MPI retransmits and rolls back; overhead monotone in fault rate; journaled masters fail over with byte-identical output while plain MPI deadlocks on a master kill"
+		out.Chaos = sweep(&rep, o, hpcbd.ChaosSweep, hpcbd.CheckChaosSweep, hpcbd.ChaosTables)
+		out.Transport = sweep(&rep, o, hpcbd.TransportSweep, hpcbd.CheckTransportSweep, hpcbd.TransportTables)
+		out.Master = sweep(&rep, o, hpcbd.MasterSweep, hpcbd.CheckMasterSweep, hpcbd.MasterTables)
+		oks = append(oks, "deterministic; Spark and Hadoop complete under chaos, loss, corruption and partitions with oracle-correct results; no corrupt byte served; plain MPI deadlocks on loss; resilient MPI retransmits and rolls back; overhead monotone in fault rate; journaled masters fail over with byte-identical output while plain MPI deadlocks on a master kill")
 	}
 	if runPart {
-		pa := hpcbd.PartitionSweep(o)
-		pb := hpcbd.PartitionSweep(o) // second run, same seed: must match pa exactly
-		out.Partition = &pa
-		tabs = append(tabs, hpcbd.PartitionTables(pa)...)
-		bad = append(bad, hpcbd.CheckPartitionSweep(pa, pb)...)
-		if okMsg != "" {
-			okMsg += "; "
-		}
-		okMsg += "fenced leaders isolated by a partition step down and fail over with byte-identical output and zero acknowledged-then-lost journal entries, the unfenced contrast measurably loses acknowledged writes, and plain MPI deadlocks under the same healing cut"
+		out.Partition = sweep(&rep, o, hpcbd.PartitionSweep, hpcbd.CheckPartitionSweep, hpcbd.PartitionTables)
+		oks = append(oks, "fenced leaders isolated by a partition step down and fail over with byte-identical output and zero acknowledged-then-lost journal entries, the unfenced contrast measurably loses acknowledged writes, and plain MPI deadlocks under the same healing cut")
 	}
 	if runTail {
-		la := hpcbd.TailSweep(o)
-		lb := hpcbd.TailSweep(o) // second run, same seed: must match la exactly
-		out.Tail = &la
-		tabs = append(tabs, hpcbd.TailTables(la)...)
-		bad = append(bad, hpcbd.CheckTailSweep(la, lb)...)
-		if okMsg != "" {
-			okMsg += "; "
-		}
-		okMsg += "adaptive timeouts + ejection + hedging + retry budget cut gray-node p99 tails >= 2x at no material clean-run cost while plain MPI runs at the slowest rank's pace"
+		out.Tail = sweep(&rep, o, hpcbd.TailSweep, hpcbd.CheckTailSweep, hpcbd.TailTables)
+		oks = append(oks, "adaptive timeouts + ejection + hedging + retry budget cut gray-node p99 tails >= 2x at no material clean-run cost while plain MPI runs at the slowest rank's pace")
 	}
 	if runOver {
-		va := hpcbd.OverloadSweep(o)
-		vb := hpcbd.OverloadSweep(o) // second run, same seed: must match va exactly
-		out.Overload = &va
-		tabs = append(tabs, hpcbd.OverloadTables(va)...)
-		bad = append(bad, hpcbd.CheckOverloadSweep(va, vb)...)
-		if okMsg != "" {
-			okMsg += "; "
-		}
-		okMsg += "under memory and disk exhaustion the spill + escalation + fetch-credit + redirect + admission stack keeps completing jobs at >= 2x the unmitigated goodput while the off arm collapses into an OOM retry spiral and statically allocated MPI fails whole at its first refused reservation"
+		out.Overload = sweep(&rep, o, hpcbd.OverloadSweep, hpcbd.CheckOverloadSweep, hpcbd.OverloadTables)
+		oks = append(oks, "under memory and disk exhaustion the spill + escalation + fetch-credit + redirect + admission stack keeps completing jobs at >= 2x the unmitigated goodput while the off arm collapses into an OOM retry spiral and statically allocated MPI fails whole at its first refused reservation")
 	}
 
 	if *jsonOut {
@@ -132,7 +100,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		for _, tab := range tabs {
+		for _, tab := range rep.tabs {
 			if *csv {
 				fmt.Print(tab.CSV())
 			} else {
@@ -141,12 +109,29 @@ func main() {
 		}
 	}
 
-	if len(bad) > 0 {
+	if len(rep.bad) > 0 {
 		fmt.Fprintln(os.Stderr, "shape violations:")
-		for _, m := range bad {
+		for _, m := range rep.bad {
 			fmt.Fprintln(os.Stderr, "  "+m)
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, "shape check: OK ("+okMsg+")")
+	fmt.Fprintln(os.Stderr, "shape check: OK ("+strings.Join(oks, "; ")+")")
+}
+
+// report collects the tables and shape violations of the sweeps run.
+type report struct {
+	tabs []hpcbd.Table
+	bad  []string
+}
+
+// sweep runs one sweep twice with the same seed, so its check can require
+// the two runs to be identical, and adds the first run's tables and the
+// check's violations to rep.
+func sweep[R any](rep *report, o hpcbd.Options, run func(hpcbd.Options) R,
+	check func(a, b R) []string, tables func(R) []hpcbd.Table) *R {
+	a, b := run(o), run(o)
+	rep.tabs = append(rep.tabs, tables(a)...)
+	rep.bad = append(rep.bad, check(a, b)...)
+	return &a
 }

@@ -16,7 +16,6 @@ import (
 	"hpcbd/internal/chaos"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/dfs"
-	"hpcbd/internal/mpi"
 	"hpcbd/internal/rdd"
 	"hpcbd/internal/sim"
 	"hpcbd/internal/workload"
@@ -93,10 +92,7 @@ type ChaosSweepResult struct {
 // the clean duration T, then injects crashes at MTBF = T, T/2 and T/4 so
 // every job sees a comparable expected failure count regardless of scale.
 func ChaosSweep(o Options) ChaosSweepResult {
-	nodes := o.PRNodes[len(o.PRNodes)-1]
-	if nodes < 4 {
-		nodes = 4
-	}
+	nodes := sweepNodes(o, 4)
 	res := ChaosSweepResult{Nodes: nodes}
 
 	// Each chaotic point gets a nested MTBF plan: the T crashes are a
@@ -167,34 +163,15 @@ func sparkACChaos(o Options, nodes int, mtbf, cleanT time.Duration, plan *chaos.
 		conf.HeartbeatTimeout = chaosDetect(cleanT)
 	}
 	ctx := rdd.NewContext(c, conf)
-	want := d.SerialAnswersCount()
 	var eng *chaos.Engine
-	c.K.Spawn("spark-driver", func(p *sim.Proc) {
-		ensureFile(p, fs, "/stackexchange", d.LogicalBytes()) // staging, untimed
+	// A failed job leaves the point incomplete; the error adds nothing.
+	_ = sparkACJob(c, fs, ctx, d, func(*sim.Proc) {
 		if plan != nil {
 			eng = chaos.Install(c, plan)
 		}
-		start := p.Now()
-		posts := DFSTextRDD(ctx, fs, "/stackexchange", d)
-		counts := rdd.MapPartitions(posts, func(in []workload.Post) []workload.AnswersCountResult {
-			var acc workload.AnswersCountResult
-			for _, post := range in {
-				if post.Question {
-					acc.Questions++
-				} else {
-					acc.Answers++
-				}
-			}
-			return []workload.AnswersCountResult{acc}
-		})
-		total, err := rdd.Reduce(p, counts, func(a, b workload.AnswersCountResult) workload.AnswersCountResult {
-			return workload.AnswersCountResult{Questions: a.Questions + b.Questions, Answers: a.Answers + b.Answers}
-		})
-		if err != nil {
-			return
-		}
-		pt.Completed = total.Questions == want.Questions && total.Answers == want.Answers
-		pt.Seconds = p.Now().Sub(start).Seconds()
+	}, func(total workload.AnswersCountResult, secs float64) {
+		pt.Completed = total == d.SerialAnswersCount()
+		pt.Seconds = secs
 		// Counters are read here, at job completion, so chaos events that
 		// fire after the job (the plan outlives it) are not attributed.
 		pt.ExecutorsLost = ctx.ExecutorsLost
@@ -205,7 +182,6 @@ func sparkACChaos(o Options, nodes int, mtbf, cleanT time.Duration, plan *chaos.
 			pt.Crashes = eng.Crashes
 		}
 	})
-	c.K.Run()
 	return pt
 }
 
@@ -295,19 +271,10 @@ func sparkPRChaos(o Options, nodes int, mtbf, cleanT time.Duration, plan *chaos.
 func mpiPRChaos(o Options, nodes, iters, every int, mtbf time.Duration, plan *chaos.Plan, penalty time.Duration) ChaosPoint {
 	pt := ChaosPoint{MTBFSeconds: mtbf.Seconds()}
 	c := newCluster(o.Seed, nodes)
-	g := workload.NewGraph(o.Seed, o.PRPhysVertices, o.PRLogicalVertices, o.PRAvgDegree)
-	np := nodes * o.PRPPN
-	perRank := float64(g.NumEdges()) * g.Scale() * c.Cost.PerEdgeC.Seconds() / float64(np)
-	stateBytes := int64(float64(g.NumVertices) * g.Scale() * 8 / float64(np))
 	if plan != nil {
 		chaos.Install(c, plan)
 	}
-	st := mpi.RunResilient(c, np, o.PRPPN,
-		mpi.ResilientConfig{Iters: iters, CheckpointEvery: every, StateBytes: stateBytes, RestartPenalty: penalty},
-		func(r *mpi.Rank, it int) {
-			r.Compute(perRank)
-			r.World().Allreduce(r, []float64{1}, mpi.OpSum, 8)
-		})
+	st := runResilientLoop(o, c, nodes, iters, every, penalty)
 	pt.Seconds = st.Seconds
 	pt.Completed = st.Completed
 	pt.Restarts = st.Restarts

@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -24,8 +23,6 @@ import (
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/dfs"
 	"hpcbd/internal/ha"
-	"hpcbd/internal/mapred"
-	"hpcbd/internal/mpi"
 	"hpcbd/internal/rdd"
 	"hpcbd/internal/sim"
 	"hpcbd/internal/workload"
@@ -99,10 +96,7 @@ func masterSweepSeries(run func(frac float64, cleanT time.Duration) MasterPoint)
 // identical Options produce bit-identical results, which CheckMasterSweep
 // verifies by comparing two runs.
 func MasterSweep(o Options) MasterSweepResult {
-	nodes := o.PRNodes[len(o.PRNodes)-1]
-	if nodes < 4 {
-		nodes = 4
-	}
+	nodes := sweepNodes(o, 4)
 	res := MasterSweepResult{Nodes: nodes}
 	res.DFS = masterSweepSeries(func(frac float64, cleanT time.Duration) MasterPoint {
 		return dfsMasterHA(o, nodes, frac, cleanT)
@@ -155,41 +149,15 @@ func dfsMasterHA(o Options, nodes int, frac float64, cleanT time.Duration) Maste
 	}
 	fs := dfs.New(c, cluster.IPoIB(), cfg)
 	g := fs.EnableHA([]int{1, 2}, masterHACfg(cleanT), o.Seed)
-	client := nodes - 1
-	bs := cfg.BlockSize
-	size := func(i int) int64 { return int64(i%3+1) * bs / 2 }
 	c.K.Spawn("dfs-client", func(p *sim.Proc) {
 		masterKill(c, frac, cleanT)
 		start := p.Now()
-		fail := func(err error) bool { return err != nil }
-		for i := 0; i < 6; i++ {
-			if fail(fs.Create(p, client, fmt.Sprintf("/m/f%d", i), size(i))) {
-				return
-			}
-		}
-		if fail(fs.Rename(p, client, "/m/f1", "/m/g1")) ||
-			fail(fs.Rename(p, client, "/m/f3", "/m/g3")) ||
-			fail(fs.Delete(p, client, "/m/f0")) {
-			return
-		}
-		for _, name := range []string{"/m/g1", "/m/f2", "/m/g3", "/m/f4", "/m/f5"} {
-			sz, err := fs.Stat(name)
-			if fail(err) || fail(fs.Read(p, client, name, 0, sz)) {
-				return
-			}
-		}
-		if fail(fs.Create(p, client, "/m/h0", bs/2)) ||
-			fail(fs.Read(p, client, "/m/h0", 0, bs/2)) {
+		if !dfsClientScript(p, fs, nodes-1, cfg.BlockSize, func(int) bool { return true }) {
 			return
 		}
 		pt.Seconds = p.Now().Sub(start).Seconds()
-		var digest string
-		for _, name := range fs.List("/m/") {
-			sz, _ := fs.Stat(name)
-			digest += fmt.Sprintf("%s:%d;", name, sz)
-		}
-		pt.Digest = digest
-		pt.Completed = digestShape(digest)
+		pt.Digest = dfsDigest(fs)
+		pt.Completed = digestShape(pt.Digest)
 	})
 	c.K.Run()
 	pt.addGroup(g)
@@ -236,36 +204,16 @@ func sparkACMasterHA(o Options, nodes int, frac float64, cleanT time.Duration) M
 	}
 	ctx := rdd.NewContext(c, conf)
 	drvGroup := ctx.EnableDriverHA([]int{1, 2}, masterHACfg(cleanT), o.Seed+2)
-	want := d.SerialAnswersCount()
-	c.K.Spawn("spark-driver", func(p *sim.Proc) {
-		ensureFile(p, fs, "/stackexchange", d.LogicalBytes()) // staging, untimed
+	// A failed job leaves the point incomplete; the error adds nothing.
+	_ = sparkACJob(c, fs, ctx, d, func(*sim.Proc) {
 		masterKill(c, frac, cleanT)
-		start := p.Now()
-		posts := DFSTextRDD(ctx, fs, "/stackexchange", d)
-		counts := rdd.MapPartitions(posts, func(in []workload.Post) []workload.AnswersCountResult {
-			var acc workload.AnswersCountResult
-			for _, post := range in {
-				if post.Question {
-					acc.Questions++
-				} else {
-					acc.Answers++
-				}
-			}
-			return []workload.AnswersCountResult{acc}
-		})
-		total, err := rdd.Reduce(p, counts, func(a, b workload.AnswersCountResult) workload.AnswersCountResult {
-			return workload.AnswersCountResult{Questions: a.Questions + b.Questions, Answers: a.Answers + b.Answers}
-		})
-		if err != nil {
-			return
-		}
-		pt.Seconds = p.Now().Sub(start).Seconds()
+	}, func(total workload.AnswersCountResult, secs float64) {
+		pt.Seconds = secs
 		pt.Digest = fmt.Sprintf("q=%d;a=%d", total.Questions, total.Answers)
-		pt.Completed = total.Questions == want.Questions && total.Answers == want.Answers
+		pt.Completed = total == d.SerialAnswersCount()
 		pt.ExecutorsLost = ctx.ExecutorsLost
 		pt.Rereplicated = fs.BlocksRereplicated()
 	})
-	c.K.Run()
 	pt.addGroup(nnGroup)
 	pt.addGroup(drvGroup)
 	return pt
@@ -286,49 +234,15 @@ func hadoopACMasterHA(o Options, nodes int, frac float64, cleanT time.Duration) 
 	fs := dfs.New(c, cluster.IPoIB(), cfg)
 	nnGroup := fs.EnableHA([]int{1, 2}, masterHACfg(cleanT), o.Seed+3)
 	d := workload.NewStackExchange(o.Seed, o.ACBytes, o.ACRecordBytes, o.ACStride)
-	want := d.SerialAnswersCount()
-	mc := mapred.DefaultConfig(c.Size())
-	mc.SlotsPerNode = o.ACPPN
-	mc.PairBytes = 16 * d.Stride
-	job := &mapred.Job[workload.Post, string, int64]{
-		Cluster: c,
-		Fabric:  cluster.IPoIB(),
-		Name:    "answerscount-ha",
-		Input:   &dfsMRInput{c: c, fs: fs, file: "/stackexchange", d: d},
-		Map: func(post workload.Post, emit func(string, int64)) {
-			if post.Question {
-				emit("q", 1)
-			} else {
-				emit("a", 1)
-			}
-		},
-		Reduce: func(key string, vals []int64, emit func(string, int64)) {
-			var s int64
-			for _, v := range vals {
-				s += v
-			}
-			emit(key, s)
-		},
-		Conf: mc,
-	}
+	job := hadoopACJob(o, c, fs, d, "answerscount-ha")
 	job.HA = ha.New(c, cluster.IPoIB(), "jobtracker", []int{0, 1, 2}, masterHACfg(cleanT), o.Seed+4)
 	c.K.Spawn("hadoop-client", func(p *sim.Proc) {
-		ensureFile(p, fs, "/stackexchange", d.LogicalBytes()) // staging, untimed
+		ensureFile(p, fs, acFile, d.LogicalBytes()) // staging, untimed
 		masterKill(c, frac, cleanT)
 		out, st := job.Run(p)
-		keys := make([]string, 0, len(out))
-		kv := map[string]int64{}
-		for _, pair := range out {
-			keys = append(keys, pair.Key)
-			kv[pair.Key] = pair.Val
-		}
-		sort.Strings(keys)
-		var digest string
-		for _, k := range keys {
-			digest += fmt.Sprintf("%s=%d;", k, kv[k])
-		}
+		got, digest := hadoopACResult(out)
 		pt.Digest = digest
-		pt.Completed = kv["q"] == want.Questions && kv["a"] == want.Answers
+		pt.Completed = got == d.SerialAnswersCount()
 		pt.Seconds = st.Elapsed.Seconds()
 		pt.MapsRerun = st.MapsRerun
 	})
@@ -355,41 +269,13 @@ func mpiPlainMaster(o Options, nodes int, frac float64, cleanT time.Duration) Ma
 		at := time.Duration(frac * float64(cleanT))
 		chaos.Install(c, chaos.MasterKill(0, at, 0))
 	}
-	g := workload.NewGraph(o.Seed, o.PRPhysVertices, o.PRLogicalVertices, o.PRAvgDegree)
-	np := nodes * o.PRPPN
-	iters := 8 * o.PRIters
-	perRank := float64(g.NumEdges()) * g.Scale() * c.Cost.PerEdgeC.Seconds() / float64(np)
-	var okRank0 bool
-	var dur float64
-	var sum float64
-	w := mpi.Launch(c, np, o.PRPPN, func(r *mpi.Rank) {
-		start := r.Now()
-		var last []float64
-		for it := 0; it < iters; it++ {
-			if !c.NodeAlive(r.Node()) {
-				// The process died with its node; it will never issue
-				// another send. Park forever — exactly what the surviving
-				// ranks' next collective then does too.
-				(&sim.Signal{}).Wait(r.Proc())
-			}
-			r.Compute(perRank)
-			last = r.World().Allreduce(r, []float64{1}, mpi.OpSum, 8)
-		}
-		if r.Rank() == 0 {
-			okRank0 = last[0] == float64(np)
-			sum = last[0]
-			dur = r.Now().Sub(start).Seconds()
-		}
-	})
-	end := c.K.Run()
-	if w.Done() {
-		pt.Seconds = dur
-		pt.Digest = fmt.Sprintf("sum=%g", sum)
-	} else {
-		// Deadlocked: report when the last runnable process parked.
-		pt.Seconds = end.Seconds()
+	np, perRank, _ := prLoopShape(o, c, nodes)
+	l := runPlainLoop(c, np, o.PRPPN, 8*o.PRIters, perRank)
+	pt.Seconds = l.secs
+	if l.w.Done() {
+		pt.Digest = fmt.Sprintf("sum=%g", l.sum)
 	}
-	pt.Completed = w.Done() && okRank0
+	pt.Completed = l.done()
 	return pt
 }
 

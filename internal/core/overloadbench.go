@@ -8,7 +8,6 @@ import (
 	"hpcbd/internal/chaos"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/dfs"
-	"hpcbd/internal/mpi"
 	"hpcbd/internal/rdd"
 	"hpcbd/internal/rm"
 	"hpcbd/internal/sim"
@@ -287,9 +286,7 @@ func overloadMPI(o Options, frac float64) OverloadMPIPoint {
 	}
 	np := nodes * 2
 	perRank := o.OverMPIRankMem
-	var w *mpi.World
-	var done bool
-	var dur float64
+	var l *plainLoop
 	// The launch happens after the hogs arm — the job meets the cluster
 	// as the storm jobs do, not a nanosecond before the squeeze.
 	c.K.After(overloadStormAt, func() {
@@ -307,26 +304,14 @@ func overloadMPI(o Options, frac float64) OverloadMPIPoint {
 			}
 			return
 		}
-		w = mpi.Launch(c, np, 2, func(r *mpi.Rank) {
-			start := r.Now()
-			var last []float64
-			for it := 0; it < o.OverMPIIters; it++ {
-				r.Compute(0.001)
-				last = r.World().Allreduce(r, []float64{1}, mpi.OpSum, 8)
-			}
-			if r.Rank() == 0 {
-				done = last[0] == float64(np)
-				dur = r.Now().Sub(start).Seconds()
-			}
-		})
+		l = launchPlainLoop(c, np, 2, o.OverMPIIters, 0.001)
 	})
 	c.K.Run()
 	if !pt.FailedAtAlloc {
 		for r := 0; r < np; r++ {
 			c.Node(r % nodes).FreeMem(perRank)
 		}
-		pt.Completed = w != nil && w.Done() && done
-		pt.Seconds = dur
+		pt.Completed, pt.Seconds = l.done(), l.secs
 	}
 	return pt
 }

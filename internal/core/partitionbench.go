@@ -26,15 +26,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hpcbd/internal/chaos"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/dfs"
 	"hpcbd/internal/ha"
-	"hpcbd/internal/mapred"
-	"hpcbd/internal/mpi"
 	"hpcbd/internal/rdd"
 	"hpcbd/internal/sim"
 	"hpcbd/internal/workload"
@@ -148,8 +145,9 @@ func partMinority(nodes, split, client int, withClient bool) []int {
 }
 
 // partitionCut arms the net-fault engine and installs the cut plan.
-// Called from inside the driving proc (after untimed staging), so `at`
-// is measured from the start of the timed region, like masterKill.
+// The DFS, Spark and Hadoop arms call it from inside the driving proc
+// (after untimed staging) and the MPI arm before launch, so `at` is
+// measured from the start of the timed region, like masterKill.
 func partitionCut(c *cluster.Cluster, seed int64, minority []int, spec partSpec) {
 	if spec.split <= 0 {
 		return
@@ -205,10 +203,7 @@ func specPoint(spec partSpec, fenced bool) PartitionPoint {
 // identical Options produce bit-identical results, which
 // CheckPartitionSweep verifies by comparing two runs.
 func PartitionSweep(o Options) PartitionSweepResult {
-	nodes := o.PRNodes[len(o.PRNodes)-1]
-	if nodes < 6 {
-		nodes = 6 // room for a minority beyond the leader and both standbys
-	}
+	nodes := sweepNodes(o, 6) // room for a minority beyond the leader and both standbys
 	res := PartitionSweepResult{Nodes: nodes}
 	res.DFSFenced = partitionSeries(nodes, func(spec partSpec) PartitionPoint {
 		return dfsPartition(o, nodes, spec, true)
@@ -248,45 +243,21 @@ func dfsPartition(o Options, nodes int, spec partSpec, fenced bool) PartitionPoi
 	g := fs.EnableHA([]int{1, 2}, partitionHACfg(spec.cleanT, fenced), o.Seed)
 	client := nodes - 1
 	minority := partMinority(nodes, spec.split, client, !fenced)
-	bs := cfg.BlockSize
-	size := func(i int) int64 { return int64(i%3+1) * bs / 2 }
 	c.K.Spawn("dfs-client", func(p *sim.Proc) {
 		partitionCut(c, o.Seed, minority, spec)
 		start := p.Now()
-		try := func(err error) {
-			if err != nil {
-				pt.OpsFailed++
-			}
-		}
-		for i := 0; i < 6; i++ {
-			try(fs.Create(p, client, fmt.Sprintf("/m/f%d", i), size(i)))
-		}
-		try(fs.Rename(p, client, "/m/f1", "/m/g1"))
-		try(fs.Rename(p, client, "/m/f3", "/m/g3"))
-		try(fs.Delete(p, client, "/m/f0"))
-		for _, name := range []string{"/m/g1", "/m/f2", "/m/g3", "/m/f4", "/m/f5"} {
-			sz, err := fs.Stat(name)
-			if err != nil {
-				pt.OpsFailed += 2 // the read it would have issued is lost too
-				continue
-			}
-			try(fs.Read(p, client, name, 0, sz))
-		}
-		try(fs.Create(p, client, "/m/h0", bs/2))
-		try(fs.Read(p, client, "/m/h0", 0, bs/2))
+		dfsClientScript(p, fs, client, cfg.BlockSize, func(n int) bool {
+			pt.OpsFailed += n
+			return false
+		})
 		pt.Seconds = p.Now().Sub(start).Seconds()
 	})
 	c.K.Run()
 	// The digest is taken after the kernel drains: in the unfenced arm
 	// the heal-time truncation has already rolled the namespace back, so
 	// this is what the CLUSTER remembers, not what the client was told.
-	var digest string
-	for _, name := range fs.List("/m/") {
-		sz, _ := fs.Stat(name)
-		digest += fmt.Sprintf("%s:%d;", name, sz)
-	}
-	pt.Digest = digest
-	pt.Completed = pt.Seconds > 0 && pt.OpsFailed == 0 && digestShape(digest)
+	pt.Digest = dfsDigest(fs)
+	pt.Completed = pt.Seconds > 0 && pt.OpsFailed == 0 && digestShape(pt.Digest)
 	pt.addHA(g)
 	return pt
 }
@@ -315,35 +286,16 @@ func sparkACPartition(o Options, nodes int, spec partSpec) PartitionPoint {
 	ctx := rdd.NewContext(c, conf)
 	drvGroup := ctx.EnableDriverHA([]int{1, 2}, partitionHACfg(spec.cleanT, true), o.Seed+2)
 	minority := partMinority(nodes, spec.split, nodes-1, false)
-	want := d.SerialAnswersCount()
-	c.K.Spawn("spark-driver", func(p *sim.Proc) {
-		ensureFile(p, fs, "/stackexchange", d.LogicalBytes()) // staging, untimed
+	err := sparkACJob(c, fs, ctx, d, func(*sim.Proc) {
 		partitionCut(c, o.Seed, minority, spec)
-		start := p.Now()
-		posts := DFSTextRDD(ctx, fs, "/stackexchange", d)
-		counts := rdd.MapPartitions(posts, func(in []workload.Post) []workload.AnswersCountResult {
-			var acc workload.AnswersCountResult
-			for _, post := range in {
-				if post.Question {
-					acc.Questions++
-				} else {
-					acc.Answers++
-				}
-			}
-			return []workload.AnswersCountResult{acc}
-		})
-		total, err := rdd.Reduce(p, counts, func(a, b workload.AnswersCountResult) workload.AnswersCountResult {
-			return workload.AnswersCountResult{Questions: a.Questions + b.Questions, Answers: a.Answers + b.Answers}
-		})
-		if err != nil {
-			pt.OpsFailed++
-			return
-		}
-		pt.Seconds = p.Now().Sub(start).Seconds()
+	}, func(total workload.AnswersCountResult, secs float64) {
+		pt.Seconds = secs
 		pt.Digest = fmt.Sprintf("q=%d;a=%d", total.Questions, total.Answers)
-		pt.Completed = total.Questions == want.Questions && total.Answers == want.Answers
+		pt.Completed = total == d.SerialAnswersCount()
 	})
-	c.K.Run()
+	if err != nil {
+		pt.OpsFailed++
+	}
 	pt.addHA(nnGroup)
 	pt.addHA(drvGroup)
 	return pt
@@ -359,55 +311,21 @@ func hadoopACPartition(o Options, nodes int, spec partSpec) PartitionPoint {
 	fs := dfs.New(c, cluster.IPoIB(), dfs.DefaultConfig())
 	nnGroup := fs.EnableHA([]int{1, 2}, partitionHACfg(spec.cleanT, true), o.Seed+3)
 	d := workload.NewStackExchange(o.Seed, o.ACBytes, o.ACRecordBytes, o.ACStride)
-	want := d.SerialAnswersCount()
-	mc := mapred.DefaultConfig(c.Size())
-	mc.SlotsPerNode = o.ACPPN
-	mc.PairBytes = 16 * d.Stride
+	job := hadoopACJob(o, c, fs, d, "answerscount-part")
 	if spec.split > 0 {
 		// Minority-pinned fetches stall until the heal; every stall burns
 		// an attempt, so the budget must outlive the window.
-		mc.MaxAttempts = 1 << 20
-	}
-	job := &mapred.Job[workload.Post, string, int64]{
-		Cluster: c,
-		Fabric:  cluster.IPoIB(),
-		Name:    "answerscount-part",
-		Input:   &dfsMRInput{c: c, fs: fs, file: "/stackexchange", d: d},
-		Map: func(post workload.Post, emit func(string, int64)) {
-			if post.Question {
-				emit("q", 1)
-			} else {
-				emit("a", 1)
-			}
-		},
-		Reduce: func(key string, vals []int64, emit func(string, int64)) {
-			var s int64
-			for _, v := range vals {
-				s += v
-			}
-			emit(key, s)
-		},
-		Conf: mc,
+		job.Conf.MaxAttempts = 1 << 20
 	}
 	job.HA = ha.New(c, cluster.IPoIB(), "jobtracker", []int{0, 1, 2}, partitionHACfg(spec.cleanT, true), o.Seed+4)
 	minority := partMinority(nodes, spec.split, nodes-1, false)
 	c.K.Spawn("hadoop-client", func(p *sim.Proc) {
-		ensureFile(p, fs, "/stackexchange", d.LogicalBytes()) // staging, untimed
+		ensureFile(p, fs, acFile, d.LogicalBytes()) // staging, untimed
 		partitionCut(c, o.Seed, minority, spec)
 		out, st := job.Run(p)
-		keys := make([]string, 0, len(out))
-		kv := map[string]int64{}
-		for _, pair := range out {
-			keys = append(keys, pair.Key)
-			kv[pair.Key] = pair.Val
-		}
-		sort.Strings(keys)
-		var digest string
-		for _, k := range keys {
-			digest += fmt.Sprintf("%s=%d;", k, kv[k])
-		}
+		got, digest := hadoopACResult(out)
 		pt.Digest = digest
-		pt.Completed = kv["q"] == want.Questions && kv["a"] == want.Answers
+		pt.Completed = got == d.SerialAnswersCount()
 		pt.Seconds = st.Elapsed.Seconds()
 	})
 	c.K.Run()
@@ -425,40 +343,14 @@ func hadoopACPartition(o Options, nodes int, spec partSpec) PartitionPoint {
 func mpiPlainPartition(o Options, nodes int, spec partSpec) PartitionPoint {
 	pt := specPoint(spec, false)
 	c := newCluster(o.Seed, nodes)
-	if spec.split > 0 {
-		minority := partMinority(nodes, spec.split, -1, false)
-		c.EnableNetFaults(o.Seed)
-		chaos.Install(c, chaos.SplitBrain(minority, spec.at, spec.length))
+	partitionCut(c, o.Seed, partMinority(nodes, spec.split, -1, false), spec)
+	np, perRank, _ := prLoopShape(o, c, nodes)
+	l := runPlainLoop(c, np, o.PRPPN, 8*o.PRIters, perRank)
+	pt.Seconds = l.secs
+	if l.w.Done() {
+		pt.Digest = fmt.Sprintf("sum=%g", l.sum)
 	}
-	g := workload.NewGraph(o.Seed, o.PRPhysVertices, o.PRLogicalVertices, o.PRAvgDegree)
-	np := nodes * o.PRPPN
-	iters := 8 * o.PRIters
-	perRank := float64(g.NumEdges()) * g.Scale() * c.Cost.PerEdgeC.Seconds() / float64(np)
-	var okRank0 bool
-	var dur float64
-	var sum float64
-	w := mpi.Launch(c, np, o.PRPPN, func(r *mpi.Rank) {
-		start := r.Now()
-		var last []float64
-		for it := 0; it < iters; it++ {
-			r.Compute(perRank)
-			last = r.World().Allreduce(r, []float64{1}, mpi.OpSum, 8)
-		}
-		if r.Rank() == 0 {
-			okRank0 = last[0] == float64(np)
-			sum = last[0]
-			dur = r.Now().Sub(start).Seconds()
-		}
-	})
-	end := c.K.Run()
-	if w.Done() {
-		pt.Seconds = dur
-		pt.Digest = fmt.Sprintf("sum=%g", sum)
-	} else {
-		// Deadlocked: report when the last runnable process parked.
-		pt.Seconds = end.Seconds()
-	}
-	pt.Completed = w.Done() && okRank0
+	pt.Completed = l.done()
 	return pt
 }
 

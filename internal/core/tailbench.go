@@ -23,7 +23,6 @@ import (
 	"hpcbd/internal/chaos"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/dfs"
-	"hpcbd/internal/mpi"
 	"hpcbd/internal/rdd"
 	"hpcbd/internal/sim"
 	"hpcbd/internal/transport"
@@ -266,25 +265,9 @@ func tailMPI(o Options, nodes, gray int) TailMPIPoint {
 	if gray > 0 {
 		chaos.Install(c, tailGrayPlan(o, nodes, gray, 0))
 	}
-	np := nodes * 2
-	perRank := 0.001 // seconds of compute per rank per iteration
-	var done bool
-	var dur float64
-	w := mpi.Launch(c, np, 2, func(r *mpi.Rank) {
-		start := r.Now()
-		var last []float64
-		for it := 0; it < o.TailMPIIters; it++ {
-			r.Compute(perRank)
-			last = r.World().Allreduce(r, []float64{1}, mpi.OpSum, 8)
-		}
-		if r.Rank() == 0 {
-			done = last[0] == float64(np)
-			dur = r.Now().Sub(start).Seconds()
-		}
-	})
-	c.K.Run()
-	pt.Completed = w.Done() && done
-	pt.Seconds = dur
+	l := runPlainLoop(c, nodes*2, 2, o.TailMPIIters, 0.001) // 1ms of compute per rank per iteration
+	pt.Completed = l.done()
+	pt.Seconds = l.secs
 	return pt
 }
 

@@ -18,8 +18,6 @@ import (
 	"hpcbd/internal/chaos"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/dfs"
-	"hpcbd/internal/mapred"
-	"hpcbd/internal/mpi"
 	"hpcbd/internal/rdd"
 	"hpcbd/internal/sim"
 	"hpcbd/internal/transport"
@@ -101,10 +99,26 @@ func (s netSpec) point() TransportPoint {
 	return TransportPoint{LossPct: s.loss * 100, CorruptPct: s.corrupt * 100, Partition: s.partTo > 0}
 }
 
-// install arms the cluster's message-fault model from inside the job's
-// driving process, after staging: constant rates take effect immediately,
-// and a partition window is scheduled through the chaos engine so the
-// cut opens and heals at reproducible virtual times.
+// newCluster builds the point's cluster, with the message-fault model on
+// whenever the spec injects anything. Corruption is armed at once, so
+// the DFS write pipeline seeds silently rotted replicas during staging.
+func (s netSpec) newCluster(o Options, nodes int) *cluster.Cluster {
+	c := newCluster(o.Seed, nodes)
+	if s.active() {
+		c.EnableNetFaults(o.Seed)
+	}
+	if s.corrupt > 0 {
+		c.SetMsgCorrupt(s.corrupt)
+	}
+	return c
+}
+
+// install arms loss and partitions. The Spark and Hadoop points call it
+// from the job's driving process after staging, which the paper's
+// methodology excludes from measurement; the MPI points, which stage
+// nothing, call it before launch. Constant rates take effect
+// immediately, and a partition window is scheduled through the chaos
+// engine so the cut opens and heals at reproducible virtual times.
 func (s netSpec) install(c *cluster.Cluster) {
 	if s.loss > 0 {
 		c.SetMsgLoss(s.loss)
@@ -125,8 +139,8 @@ func seedAtRestRot(p *sim.Proc, fs *dfs.DFS, spec netSpec) {
 	if spec.corrupt <= 0 {
 		return
 	}
-	fs.CorruptReplica("/stackexchange", 0, 1)
-	_ = fs.Read(p, 1, "/stackexchange", 0, 1)
+	fs.CorruptReplica(acFile, 0, 1)
+	_ = fs.Read(p, 1, acFile, 0, 1)
 }
 
 func (pt *TransportPoint) addStats(ss ...transport.Stats) {
@@ -153,10 +167,7 @@ func (pt *TransportPoint) addBulk(s transport.Stats) {
 // rate strictly grows the fault set and overhead monotonicity is exactly
 // checkable, point by point.
 func TransportSweep(o Options) TransportSweepResult {
-	nodes := o.PRNodes[len(o.PRNodes)-1]
-	if nodes < 4 {
-		nodes = 4
-	}
+	nodes := sweepNodes(o, 4)
 	res := TransportSweepResult{Nodes: nodes}
 	for _, r := range TransportLossRates {
 		res.LossPcts = append(res.LossPcts, r*100)
@@ -209,13 +220,7 @@ func TransportSweep(o Options) TransportSweepResult {
 // paper's methodology excludes from measurement.
 func sparkACTransport(o Options, nodes int, spec netSpec) TransportPoint {
 	pt := spec.point()
-	c := newCluster(o.Seed, nodes)
-	if spec.active() {
-		c.EnableNetFaults(o.Seed)
-	}
-	if spec.corrupt > 0 {
-		c.SetMsgCorrupt(spec.corrupt)
-	}
+	c := spec.newCluster(o, nodes)
 	fs := dfs.New(c, cluster.IPoIB(), dfs.DefaultConfig())
 	d := workload.NewStackExchange(o.Seed, o.ACBytes, o.ACRecordBytes, o.ACStride)
 	conf := rdd.DefaultConfig()
@@ -227,34 +232,14 @@ func sparkACTransport(o Options, nodes int, spec netSpec) TransportPoint {
 		conf.MaxTaskRetries = 1 << 20
 	}
 	ctx := rdd.NewContext(c, conf)
-	want := d.SerialAnswersCount()
-	c.K.Spawn("spark-driver", func(p *sim.Proc) {
-		ensureFile(p, fs, "/stackexchange", d.LogicalBytes()) // staging, untimed
+	// A failed job leaves the point incomplete; the error adds nothing.
+	_ = sparkACJob(c, fs, ctx, d, func(p *sim.Proc) {
 		seedAtRestRot(p, fs, spec)
 		spec.install(c)
-		start := p.Now()
-		posts := DFSTextRDD(ctx, fs, "/stackexchange", d)
-		counts := rdd.MapPartitions(posts, func(in []workload.Post) []workload.AnswersCountResult {
-			var acc workload.AnswersCountResult
-			for _, post := range in {
-				if post.Question {
-					acc.Questions++
-				} else {
-					acc.Answers++
-				}
-			}
-			return []workload.AnswersCountResult{acc}
-		})
-		total, err := rdd.Reduce(p, counts, func(a, b workload.AnswersCountResult) workload.AnswersCountResult {
-			return workload.AnswersCountResult{Questions: a.Questions + b.Questions, Answers: a.Answers + b.Answers}
-		})
-		if err != nil {
-			return
-		}
-		pt.Completed = total.Questions == want.Questions && total.Answers == want.Answers
-		pt.Seconds = p.Now().Sub(start).Seconds()
+	}, func(total workload.AnswersCountResult, secs float64) {
+		pt.Completed = total == d.SerialAnswersCount()
+		pt.Seconds = secs
 	})
-	c.K.Run()
 	// Counters are read after the kernel drains so background repairs the
 	// quarantine spawned are included.
 	pt.FetchFailures = ctx.FetchFailures
@@ -275,60 +260,23 @@ func sparkACTransport(o Options, nodes int, spec netSpec) TransportPoint {
 // re-attempt the task when retries are exhausted.
 func hadoopACTransport(o Options, nodes int, spec netSpec) TransportPoint {
 	pt := spec.point()
-	c := newCluster(o.Seed, nodes)
-	if spec.active() {
-		c.EnableNetFaults(o.Seed)
-	}
-	if spec.corrupt > 0 {
-		c.SetMsgCorrupt(spec.corrupt)
-	}
+	c := spec.newCluster(o, nodes)
 	fs := dfs.New(c, cluster.IPoIB(), dfs.DefaultConfig())
 	d := workload.NewStackExchange(o.Seed, o.ACBytes, o.ACRecordBytes, o.ACStride)
-	want := d.SerialAnswersCount()
-	mc := mapred.DefaultConfig(c.Size())
-	mc.SlotsPerNode = o.ACPPN
-	mc.PairBytes = 16 * d.Stride
+	job := hadoopACJob(o, c, fs, d, "answerscount-net")
 	if spec.partTo > 0 {
 		// A reducer pinned to the minority node stalls until the heal;
 		// every stalled fetch burns an attempt, so the budget must not
 		// run out before the window closes.
-		mc.MaxAttempts = 1 << 20
-	}
-	job := &mapred.Job[workload.Post, string, int64]{
-		Cluster: c,
-		Fabric:  cluster.IPoIB(),
-		Name:    "answerscount-net",
-		Input:   &dfsMRInput{c: c, fs: fs, file: "/stackexchange", d: d},
-		Map: func(post workload.Post, emit func(string, int64)) {
-			if post.Question {
-				emit("q", 1)
-			} else {
-				emit("a", 1)
-			}
-		},
-		Reduce: func(key string, vals []int64, emit func(string, int64)) {
-			var s int64
-			for _, v := range vals {
-				s += v
-			}
-			emit(key, s)
-		},
-		Conf: mc,
+		job.Conf.MaxAttempts = 1 << 20
 	}
 	c.K.Spawn("hadoop-client", func(p *sim.Proc) {
-		ensureFile(p, fs, "/stackexchange", d.LogicalBytes()) // staging, untimed
+		ensureFile(p, fs, acFile, d.LogicalBytes()) // staging, untimed
 		seedAtRestRot(p, fs, spec)
 		spec.install(c)
 		out, st := job.Run(p)
-		var got workload.AnswersCountResult
-		for _, kv := range out {
-			if kv.Key == "q" {
-				got.Questions = kv.Val
-			} else {
-				got.Answers = kv.Val
-			}
-		}
-		pt.Completed = got.Questions == want.Questions && got.Answers == want.Answers
+		got, _ := hadoopACResult(out)
+		pt.Completed = got == d.SerialAnswersCount()
 		pt.Seconds = st.Elapsed.Seconds()
 		pt.FetchFailures = int64(st.FetchFailures)
 	})
@@ -351,64 +299,18 @@ func hadoopACTransport(o Options, nodes int, spec netSpec) TransportPoint {
 // treats a partition seen at a barrier as a rollback-worthy failure.
 func mpiTransportPoint(o Options, nodes int, spec netSpec, resilient bool, penalty time.Duration) TransportPoint {
 	pt := spec.point()
-	c := newCluster(o.Seed, nodes)
-	if spec.active() {
-		c.EnableNetFaults(o.Seed)
-	}
-	if spec.loss > 0 {
-		c.SetMsgLoss(spec.loss)
-	}
-	if spec.corrupt > 0 {
-		c.SetMsgCorrupt(spec.corrupt)
-	}
-	if spec.partTo > 0 {
-		chaos.Install(c, chaos.Script(chaos.Partition([][]int{{spec.minority}}, spec.partFrom, spec.partTo)...))
-	}
-	g := workload.NewGraph(o.Seed, o.PRPhysVertices, o.PRLogicalVertices, o.PRAvgDegree)
-	np := nodes * o.PRPPN
+	c := spec.newCluster(o, nodes)
+	spec.install(c)
 	iters := 8 * o.PRIters
-	perRank := float64(g.NumEdges()) * g.Scale() * c.Cost.PerEdgeC.Seconds() / float64(np)
-
 	if resilient {
-		stateBytes := int64(float64(g.NumVertices) * g.Scale() * 8 / float64(np))
-		st := mpi.RunResilient(c, np, o.PRPPN,
-			mpi.ResilientConfig{Iters: iters, CheckpointEvery: o.PRIters, StateBytes: stateBytes, RestartPenalty: penalty},
-			func(r *mpi.Rank, it int) {
-				r.Compute(perRank)
-				r.World().Allreduce(r, []float64{1}, mpi.OpSum, 8)
-			})
-		pt.Seconds = st.Seconds
-		pt.Completed = st.Completed
-		pt.Restarts = st.Restarts
-		pt.RedoneIters = st.RedoneIters
-		pt.CommFaults = st.CommFaults
-		pt.PartitionDrops = c.PartitionDrops()
-		return pt
-	}
-
-	var okRank0 bool
-	var dur float64
-	w := mpi.Launch(c, np, o.PRPPN, func(r *mpi.Rank) {
-		start := r.Now()
-		var last []float64
-		for it := 0; it < iters; it++ {
-			r.Compute(perRank)
-			last = r.World().Allreduce(r, []float64{1}, mpi.OpSum, 8)
-		}
-		if r.Rank() == 0 {
-			okRank0 = last[0] == float64(np)
-			dur = r.Now().Sub(start).Seconds()
-		}
-	})
-	end := c.K.Run()
-	if w.Done() {
-		pt.Seconds = dur
+		st := runResilientLoop(o, c, nodes, iters, o.PRIters, penalty)
+		pt.Seconds, pt.Completed = st.Seconds, st.Completed
+		pt.Restarts, pt.RedoneIters, pt.CommFaults = st.Restarts, st.RedoneIters, st.CommFaults
 	} else {
-		// Deadlocked: report the time the last runnable process parked.
-		pt.Seconds = end.Seconds()
+		np, perRank, _ := prLoopShape(o, c, nodes)
+		l := runPlainLoop(c, np, o.PRPPN, iters, perRank)
+		pt.Seconds, pt.Completed, pt.LostMsgs = l.secs, l.done(), l.w.LostMsgs()
 	}
-	pt.Completed = w.Done() && okRank0
-	pt.LostMsgs = w.LostMsgs()
 	pt.PartitionDrops = c.PartitionDrops()
 	return pt
 }

@@ -70,14 +70,6 @@ type Config struct {
 	// once, skipping the retry wait. Off by default; when off the fetch
 	// path is byte-identical to the pre-hedging engine.
 	HedgedFetch bool
-	// FetchWindow, when positive, bounds concurrent reduce-side fetches
-	// with a credit window: at most FetchWindow map outputs are in
-	// flight per reduce attempt, and further fetches stall until a
-	// credit frees — backpressure that keeps an overloaded reducer from
-	// hammering every map node at once. Zero keeps the serial
-	// one-output-at-a-time fetch loop, byte-identical to the
-	// pre-overload engine.
-	FetchWindow int
 }
 
 // DefaultConfig mirrors common Hadoop settings.
@@ -102,7 +94,6 @@ type Stats struct {
 	FetchFailures int // shuffle fetches that exhausted transport retries
 	HedgesSent    int // duplicate fetches fired after the adaptive delay
 	HedgeWins     int // hedged fetches where the duplicate answered first
-	FetchStalls   int // windowed fetches that waited for a credit (FetchWindow > 0)
 	Elapsed       time.Duration
 
 	// Recovery counters (node-death + tracker-failover hardening)
@@ -536,20 +527,7 @@ func (j *Job[In, K, V]) runReduceAttempt(tp *sim.Proc, task string, attempt, nod
 			nIn += len(mo.partitions[r])
 		}
 	}
-	var fetched []Pair[K, V]
-	if conf.FetchWindow > 0 {
-		var fok bool
-		fetched, fok, lostMaps = j.fetchWindowed(tp, node, r, outputs, st, conf, nIn)
-		if !fok {
-			return nil, false, lostMaps
-		}
-		if fail {
-			tp.FlushCharge() // the wasted attempt still pays its pending charges
-			return nil, false, false
-		}
-		return j.mergeAndReduce(tp, node, fetched, conf)
-	}
-	fetched = make([]Pair[K, V], 0, nIn)
+	fetched := make([]Pair[K, V], 0, nIn)
 	for _, mo := range outputs {
 		part := mo.partitions[r]
 		b := mo.partBytes[r]
@@ -602,15 +580,7 @@ func (j *Job[In, K, V]) runReduceAttempt(tp *sim.Proc, task string, attempt, nod
 		tp.FlushCharge() // the wasted attempt still pays its pending charges
 		return nil, false, false
 	}
-	return j.mergeAndReduce(tp, node, fetched, conf)
-}
 
-// mergeAndReduce runs the reduce attempt's tail — merge (sort), group,
-// reduce, persist — shared by the serial and windowed fetch paths.
-func (j *Job[In, K, V]) mergeAndReduce(tp *sim.Proc, node int, fetched []Pair[K, V],
-	conf Config) (_ []Pair[K, V], ok, lostMaps bool) {
-	c := j.Cluster
-	cm := c.Cost
 	// Merge (sort), group and reduce as a payload over the sort-compare
 	// and per-record charges (both functions of len(fetched), known now).
 	pd := sim.OffloadStart(tp, func() []Pair[K, V] {
@@ -643,90 +613,4 @@ func (j *Job[In, K, V]) mergeAndReduce(tp *sim.Proc, node int, fetched []Pair[K,
 	// the local-replica write).
 	c.Node(node).Scratch.Write(tp, int64(len(out))*conf.PairBytes)
 	return out, true, false
-}
-
-// fetchWindowed fetches this reducer's partition from every map output
-// with at most conf.FetchWindow fetches in flight: each fetch runs as
-// its own process on the reduce node and must hold a credit while it
-// reads the map-side spill and moves the bytes. The bounded window is
-// the reduce-side backpressure knob — an overloaded reducer stalls its
-// remaining fetches (counted in Stats.FetchStalls) instead of opening a
-// connection to every map node at once. Results and failures aggregate
-// in map-output order, so the merged input and the reported failure are
-// deterministic regardless of fetch completion order.
-func (j *Job[In, K, V]) fetchWindowed(tp *sim.Proc, node, r int, outputs []*mapOutput[K, V],
-	st *Stats, conf Config, nIn int) (fetched []Pair[K, V], ok, lostMaps bool) {
-	c := j.Cluster
-	cm := c.Cost
-	type fres struct{ failed, lost bool }
-	results := make([]fres, len(outputs))
-	credits := sim.NewResource(c.K, fmt.Sprintf("mr.fetchwin.%d", r), int64(conf.FetchWindow))
-	wg := sim.NewWaitGroup(c.K)
-	for i := range outputs {
-		i := i
-		mo := outputs[i]
-		b := mo.partBytes[r]
-		if b == 0 {
-			continue
-		}
-		wg.Add(1)
-		c.SpawnOnNode(node, fmt.Sprintf("mr.fetch.%d.%d", r, i), func(fp *sim.Proc) {
-			defer wg.Done()
-			if credits.InUse() >= credits.Capacity() {
-				st.FetchStalls++
-			}
-			credits.Acquire(fp, 1)
-			defer credits.Release(1)
-			if !j.outputLive(mo) {
-				results[i] = fres{failed: true, lost: true}
-				return
-			}
-			c.Node(mo.node).Scratch.Read(fp, b) // map-side spill read
-			if mo.node != node {
-				if conf.HedgedFetch {
-					_, hedged, won, err := j.Transport.SendHedged(fp, j.hedgeNet, mo.node, node, b)
-					if hedged {
-						st.HedgesSent++
-					}
-					if won {
-						st.HedgeWins++
-					}
-					if err != nil {
-						if !j.outputLive(mo) {
-							results[i] = fres{failed: true, lost: true}
-							return
-						}
-						st.FetchFailures++
-						results[i] = fres{failed: true}
-						return
-					}
-				} else if _, err := j.Transport.Send(fp, mo.node, node, b); err != nil {
-					if !j.outputLive(mo) {
-						results[i] = fres{failed: true, lost: true}
-						return
-					}
-					st.FetchFailures++
-					fp.Sleep(conf.FetchRetryWait)
-					results[i] = fres{failed: true}
-					return
-				}
-				st.ShuffledBytes += b
-			}
-			fp.Charge(cm.DeserTime(b))
-			fp.FlushCharge()
-		})
-	}
-	wg.Wait(tp)
-	for i := range outputs {
-		if results[i].failed {
-			return nil, false, results[i].lost
-		}
-	}
-	fetched = make([]Pair[K, V], 0, nIn)
-	for _, mo := range outputs {
-		if mo.partBytes[r] > 0 {
-			fetched = append(fetched, mo.partitions[r]...)
-		}
-	}
-	return fetched, true, false
 }
