@@ -1,12 +1,13 @@
-# Repro harness. `make verify` is the CI gate: gofmt, build, vet, the full test
-# suite, the race detector over the quick configurations (with a
-# repeated-run soak of the schedulers and the reliable transport), and
-# the quick fault-injection sweeps.
+# Repro harness. `make verify` is the CI gate: gofmt, build, vet, a smoke
+# run of every command and example, the full test suite, the race
+# detector over the quick configurations (with a repeated-run soak of the
+# schedulers and the reliable transport), and the quick fault-injection
+# sweeps.
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all fmt build test vet race chaos verify bench benchcmp bench-quick bench-shards bench-parallel profile experiments ledger ledger-test
+.PHONY: all fmt build test vet smoke race chaos verify bench benchcmp bench-quick bench-shards bench-parallel profile experiments ledger ledger-test
 
 all: verify
 
@@ -22,6 +23,24 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Builds every command and example once into $(SMOKE_BIN)/ and runs each
+# at its smallest scale: the *-bench tools with -quick (chaos-bench runs
+# under `make chaos`), clusterinfo, locstats and every example bare. Fails
+# on any non-zero exit, and on an unknown -impl or -only name that does
+# not exit 2.
+SMOKE_BIN ?= .smoke
+SMOKE_BENCH := $(filter-out chaos-bench,$(notdir $(wildcard cmd/*-bench)))
+SMOKE_PLAIN := clusterinfo locstats $(notdir $(wildcard examples/*))
+smoke:
+	$(GO) build -o $(SMOKE_BIN)/ ./cmd/... ./examples/...
+	@set -e; for t in $(SMOKE_BENCH); do echo "smoke: $$t -quick"; $(SMOKE_BIN)/$$t -quick >/dev/null; done
+	@set -e; for t in $(SMOKE_PLAIN); do echo "smoke: $$t"; $(SMOKE_BIN)/$$t >/dev/null; done
+	@for c in "pagerank-bench -quick -impl bogus" "stack-bench -quick -only bogus" "stack-bench -only interconnect,filesytem"; do \
+		rc=0; $(SMOKE_BIN)/$$c >/dev/null 2>&1 || rc=$$?; \
+		if [ $$rc -ne 2 ]; then echo "smoke: $$c exited $$rc, want 2"; exit 1; fi; \
+	done
+	@echo "smoke: OK"
 
 race:
 	$(GO) test -race -short ./...
@@ -40,7 +59,7 @@ race:
 chaos:
 	$(GO) run ./cmd/chaos-bench -quick
 
-verify: fmt build vet test race chaos
+verify: fmt build vet smoke test race chaos
 	@echo "verify: OK"
 
 # Regenerate every paper artifact at full scale (slow), recording host

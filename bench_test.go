@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"hpcbd/internal/core"
 	"hpcbd/internal/sim"
 )
 
@@ -32,7 +33,7 @@ func reportHostPerf(b *testing.B, startEvents int64) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(sim.TotalEvents()-startEvents)/s, "sim-events/sec")
 	}
-	b.ReportMetric(float64(Workers()), "workers")
+	b.ReportMetric(float64(core.Workers()), "workers")
 }
 
 // emit prints an artifact once per benchmark name, keeping -bench output
@@ -52,16 +53,16 @@ func emit(name string, artifact fmt.Stringer, violations []string) {
 	}
 }
 
-func benchOptions() Options {
+func benchOptions() core.Options {
 	if testing.Short() {
-		return QuickOptions()
+		return core.Quick()
 	}
-	return FullOptions()
+	return core.Full()
 }
 
 func BenchmarkTable1Platform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := Table1()
+		t := core.Table1()
 		emit("table1", t, nil)
 	}
 }
@@ -69,8 +70,8 @@ func BenchmarkTable1Platform(b *testing.B) {
 func BenchmarkFig3Reduce(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		fig := Fig3(o)
-		emit("fig3", fig, CheckFig3(fig))
+		fig := core.Fig3(o)
+		emit("fig3", fig, core.CheckFig3(fig))
 		if mpiS, ok := fig.Get("MPI"); ok && len(mpiS.Points) > 0 {
 			b.ReportMetric(mpiS.Points[len(mpiS.Points)-1].Y*1e6, "mpi-1MiB-us")
 		}
@@ -83,17 +84,17 @@ func BenchmarkFig3Reduce(b *testing.B) {
 func BenchmarkFig3ReduceWithSHMEM(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		fig := Fig3Extended(o)
-		emit("fig3x", fig, CheckFig3(fig))
+		fig := core.Fig3Extended(o)
+		emit("fig3x", fig, core.CheckFig3(fig))
 	}
 }
 
 func BenchmarkTable2FileRead(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t := Table2(o)
-		vals := Table2Values(o)
-		emit("table2", t, CheckTable2(vals))
+		t := core.Table2(o)
+		vals := core.Table2Values(o)
+		emit("table2", t, core.CheckTable2(vals))
 		last := vals[len(vals)-1]
 		b.ReportMetric(last[0], "hdfs-simsec")
 		b.ReportMetric(last[1], "local-simsec")
@@ -106,8 +107,8 @@ func BenchmarkFig4AnswersCount(b *testing.B) {
 	ev0 := sim.TotalEvents()
 	defer func() { reportHostPerf(b, ev0) }()
 	for i := 0; i < b.N; i++ {
-		fig, results := Fig4(o)
-		emit("fig4", fig, CheckFig4(fig, results, o.ACBytes))
+		fig, results := core.Fig4(o)
+		emit("fig4", fig, core.CheckFig4(fig, results, o.ACBytes))
 		if spark, ok := fig.Get("Spark"); ok && len(spark.Points) > 0 {
 			b.ReportMetric(spark.Points[len(spark.Points)-1].Y, "spark-simsec")
 		}
@@ -122,8 +123,8 @@ func BenchmarkFig6PageRankBigDataBench(b *testing.B) {
 	ev0 := sim.TotalEvents()
 	defer func() { reportHostPerf(b, ev0) }()
 	for i := 0; i < b.N; i++ {
-		fig, ranks := Fig6(o)
-		emit("fig6", fig, CheckFig6(fig, ranks))
+		fig, ranks := core.Fig6(o)
+		emit("fig6", fig, core.CheckFig6(fig, ranks))
 		if spark, ok := fig.Get("Spark"); ok && len(spark.Points) > 0 {
 			b.ReportMetric(spark.Points[len(spark.Points)-1].Y, "spark-simsec")
 		}
@@ -141,14 +142,14 @@ func BenchmarkFig6PageRankBigDataBench(b *testing.B) {
 // BenchmarkFig6PageRankBigDataBench to read the speedup on this host.
 func BenchmarkFig6PageRankSharded(b *testing.B) {
 	o := benchOptions()
-	prev := Shards()
-	SetShards(4)
-	defer SetShards(prev)
+	prev := core.Shards()
+	core.SetShards(4)
+	defer core.SetShards(prev)
 	ev0 := sim.TotalEvents()
 	defer func() { reportHostPerf(b, ev0) }()
 	for i := 0; i < b.N; i++ {
-		fig, ranks := Fig6(o)
-		emit("fig6-sharded", fig, CheckFig6(fig, ranks))
+		fig, ranks := core.Fig6(o)
+		emit("fig6-sharded", fig, core.CheckFig6(fig, ranks))
 	}
 }
 
@@ -157,8 +158,8 @@ func BenchmarkFig7PageRankHiBench(b *testing.B) {
 	ev0 := sim.TotalEvents()
 	defer func() { reportHostPerf(b, ev0) }()
 	for i := 0; i < b.N; i++ {
-		fig, ranks := Fig7(o)
-		emit("fig7", fig, CheckFig7(fig, ranks))
+		fig, ranks := core.Fig7(o)
+		emit("fig7", fig, core.CheckFig7(fig, ranks))
 		spark, _ := fig.Get("Spark")
 		rdma, _ := fig.Get("Spark-RDMA")
 		if n := len(spark.Points); n > 0 && len(rdma.Points) == n {
@@ -170,7 +171,7 @@ func BenchmarkFig7PageRankHiBench(b *testing.B) {
 
 func BenchmarkTable3Maintainability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := Table3()
+		t, err := core.Table3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func BenchmarkAblationPersist(b *testing.B) {
 	o := benchOptions()
 	nodes := o.PRNodes[len(o.PRNodes)-1]
 	for i := 0; i < b.N; i++ {
-		tuned, untuned := AblationPersist(o, nodes)
+		tuned, untuned := core.AblationPersist(o, nodes)
 		if _, loaded := printOnce.LoadOrStore("abl-persist", true); !loaded {
 			fmt.Printf("\nABLATION persist @%d nodes: tuned=%.2fs untuned=%.2fs speedup=%.2fx (paper §VI-C: ~3x)\n",
 				nodes, tuned, untuned, untuned/tuned)
@@ -194,7 +195,7 @@ func BenchmarkAblationPersist(b *testing.B) {
 func BenchmarkAblationReplication(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t := AblationReplication(o)
+		t := core.AblationReplication(o)
 		emit("abl-repl", t, nil)
 	}
 }
@@ -202,7 +203,7 @@ func BenchmarkAblationReplication(b *testing.B) {
 func BenchmarkAblationFaults(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		fa := AblationFaults(o)
+		fa := core.AblationFaults(o)
 		emit("abl-faults", fa.Table(), nil)
 		b.ReportMetric(fa.SparkFailure-fa.SparkClean, "spark-recovery-simsec")
 		b.ReportMetric(fa.MPIRecovery-fa.MPIClean, "mpi-recovery-simsec")
@@ -212,7 +213,7 @@ func BenchmarkAblationFaults(b *testing.B) {
 func BenchmarkAblationRDA(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		ab := AblationRDA(o)
+		ab := core.AblationRDA(o)
 		emit("abl-rda", ab.Table(), nil)
 		b.ReportMetric(ab.ReplayRecovery/ab.CkptRecovery, "replay-vs-ckpt-x")
 	}
@@ -221,7 +222,7 @@ func BenchmarkAblationRDA(b *testing.B) {
 func BenchmarkAblationMRMPI(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, times := AblationMRMPI(o)
+		t, times := core.AblationMRMPI(o)
 		emit("abl-mrmpi", t, nil)
 		b.ReportMetric(times["Hadoop"]/times["MR-MPI (non-blocking)"], "vs-hadoop-x")
 	}
@@ -230,7 +231,7 @@ func BenchmarkAblationMRMPI(b *testing.B) {
 func BenchmarkAblationInterconnect(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, times := AblationInterconnect(o)
+		t, times := core.AblationInterconnect(o)
 		emit("abl-net", t, nil)
 		b.ReportMetric(times["Ethernet 10G sockets"]/times["RDMA shuffle + IPoIB control"], "rdma-vs-eth-x")
 	}
@@ -239,7 +240,7 @@ func BenchmarkAblationInterconnect(b *testing.B) {
 func BenchmarkAblationFilesystem(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, times := AblationFilesystem(o)
+		t, times := core.AblationFilesystem(o)
 		emit("abl-fs", t, nil)
 		b.ReportMetric(times["MPI on shared NFS"]/times["MPI on local scratch"], "scratch-vs-nfs-x")
 	}
@@ -248,7 +249,7 @@ func BenchmarkAblationFilesystem(b *testing.B) {
 func BenchmarkAblationScheduler(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, out := AblationScheduler(o)
+		t, out := core.AblationScheduler(o)
 		emit("abl-sched", t, nil)
 		b.ReportMetric(out["YARN-like containers"].Utilization*100, "yarn-util-%")
 		b.ReportMetric(out["Slurm-like FIFO"].Utilization*100, "slurm-util-%")
@@ -258,7 +259,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 func BenchmarkAblationTopology(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, times := AblationTopology(o)
+		t, times := core.AblationTopology(o)
 		emit("abl-topo", t, nil)
 		b.ReportMetric(times["fat-tree 4:1"]/times["full bisection"], "fattree-slowdown-x")
 	}
@@ -267,7 +268,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 func BenchmarkAblationKMeans(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, out := AblationKMeans(o, 8, 8, 10)
+		t, out := core.AblationKMeans(o, 8, 8, 10)
 		emit("abl-kmeans", t, nil)
 		b.ReportMetric(out["Spark"].Seconds/out["MPI"].Seconds, "spark-vs-mpi-x")
 	}
@@ -276,7 +277,7 @@ func BenchmarkAblationKMeans(b *testing.B) {
 func BenchmarkAblationOffload(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, out := AblationOffload(o)
+		t, out := core.AblationOffload(o)
 		emit("abl-gpu", t, nil)
 		b.ReportMetric(out["1024"][0]/out["1024"][1], "gpu-speedup-hi-x")
 	}
@@ -285,7 +286,7 @@ func BenchmarkAblationOffload(b *testing.B) {
 func BenchmarkAblationMemory(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, out := AblationMemory(o)
+		t, out := core.AblationMemory(o)
 		emit("abl-mem", t, nil)
 		b.ReportMetric(out["starved"][1], "evictions")
 	}
@@ -297,13 +298,13 @@ func BenchmarkChaosSweep(b *testing.B) {
 	}
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		a := ChaosSweep(o)
-		r2 := ChaosSweep(o)
+		a := core.ChaosSweep(o)
+		r2 := core.ChaosSweep(o)
 		var bad []string
-		for _, tab := range ChaosTables(a) {
+		for _, tab := range core.ChaosTables(a) {
 			emit(tab.ID, tab, nil)
 		}
-		bad = CheckChaosSweep(a, r2)
+		bad = core.CheckChaosSweep(a, r2)
 		if _, loaded := printOnce.LoadOrStore("chaos-check", true); !loaded {
 			if len(bad) == 0 {
 				fmt.Println("chaos sweep shape check: OK")
@@ -326,7 +327,7 @@ func BenchmarkChaosSweep(b *testing.B) {
 func BenchmarkAblationConverged(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, out := AblationConverged(o)
+		t, out := core.AblationConverged(o)
 		emit("abl-converged", t, nil)
 		b.ReportMetric(out["RDA (converged model)"].Seconds/out["MPI (hand-written)"].Seconds, "rda-vs-mpi-x")
 		b.ReportMetric(out["Spark (tuned)"].Seconds/out["RDA (converged model)"].Seconds, "spark-vs-rda-x")

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"os"
 
-	"hpcbd"
+	"hpcbd/internal/core"
 	"hpcbd/internal/exec"
 	"hpcbd/internal/gctune"
 	"hpcbd/internal/profiling"
@@ -26,19 +26,19 @@ func main() {
 	profiling.Flags()
 	flag.Parse()
 	exec.SetDefaultSize(*pool)
-	hpcbd.SetShards(*shards)
-	hpcbd.SetWorkers(*workers)
+	core.SetShards(*shards)
+	core.SetWorkers(*workers)
 	gctune.Apply()
 	profiling.Start()
 
-	o := hpcbd.FullOptions()
+	o := core.Full()
 	if *quick {
-		o = hpcbd.QuickOptions()
+		o = core.Quick()
 	}
 	if *gb > 0 {
 		o.ACBytes = int64(*gb * 1e9)
 	}
-	fig, results := hpcbd.Fig4(o)
+	fig, results := core.Fig4(o)
 	if *csv {
 		fmt.Print(fig.CSV())
 	} else {
@@ -46,7 +46,7 @@ func main() {
 	}
 	avg := results["Serial"].Average()
 	fmt.Printf("average answers per question: %.3f (all frameworks agree with the serial oracle)\n", avg)
-	if bad := hpcbd.CheckFig4(fig, results, o.ACBytes); len(bad) > 0 {
+	if bad := core.CheckFig4(fig, results, o.ACBytes); len(bad) > 0 {
 		fmt.Fprintln(os.Stderr, "shape violations:")
 		for _, b := range bad {
 			fmt.Fprintln(os.Stderr, "  "+b)
@@ -57,7 +57,7 @@ func main() {
 	fmt.Println("shape check: OK (Hadoop > Spark; MPI needs >=40 procs at 80 GB; OpenMP single-node)")
 
 	if *scale {
-		cfg := hpcbd.DefaultScaleConfig()
+		cfg := core.DefaultScaleConfig()
 		cfg.NodeCounts = nil
 		for n := 1000; n <= *scaleNodes; n *= 2 {
 			cfg.NodeCounts = append(cfg.NodeCounts, n)
@@ -68,8 +68,8 @@ func main() {
 			}
 		})
 		cfg.Workers = *workers
-		pts := hpcbd.ScaleSweep(o, cfg)
-		fmt.Println(hpcbd.ScaleTable(pts))
+		pts := core.ScaleSweep(o, cfg)
+		fmt.Println(core.ScaleTable(pts))
 		for _, p := range pts {
 			if !p.OK {
 				fmt.Fprintf(os.Stderr, "scale sweep: %d-node point disagrees with the serial oracle\n", p.Nodes)

@@ -36,7 +36,7 @@ import (
 	"os"
 	"strings"
 
-	"hpcbd"
+	"hpcbd/internal/core"
 )
 
 func main() {
@@ -47,12 +47,12 @@ func main() {
 	shards := flag.Int("shards", 1, "event-queue shards per kernel; results are identical for every count")
 	workers := flag.Int("workers", 0, "parallel dispatch workers per kernel (0 = serial; needs -shards > 1 to engage); results are identical for every count")
 	flag.Parse()
-	hpcbd.SetShards(*shards)
-	hpcbd.SetWorkers(*workers)
+	core.SetShards(*shards)
+	core.SetWorkers(*workers)
 
-	o := hpcbd.FullOptions()
+	o := core.Full()
 	if *quick {
-		o = hpcbd.QuickOptions()
+		o = core.Quick()
 	}
 	runFault := *mode == "all" || *mode == "fault"
 	runPart := runFault || *mode == "partition"
@@ -66,29 +66,29 @@ func main() {
 	var rep report
 	var oks []string
 	out := struct {
-		Chaos     *hpcbd.ChaosSweepResult     `json:"chaos,omitempty"`
-		Transport *hpcbd.TransportSweepResult `json:"transport,omitempty"`
-		Master    *hpcbd.MasterSweepResult    `json:"master,omitempty"`
-		Partition *hpcbd.PartitionSweepResult `json:"partition,omitempty"`
-		Tail      *hpcbd.TailSweepResult      `json:"tail,omitempty"`
-		Overload  *hpcbd.OverloadSweepResult  `json:"overload,omitempty"`
+		Chaos     *core.ChaosSweepResult     `json:"chaos,omitempty"`
+		Transport *core.TransportSweepResult `json:"transport,omitempty"`
+		Master    *core.MasterSweepResult    `json:"master,omitempty"`
+		Partition *core.PartitionSweepResult `json:"partition,omitempty"`
+		Tail      *core.TailSweepResult      `json:"tail,omitempty"`
+		Overload  *core.OverloadSweepResult  `json:"overload,omitempty"`
 	}{}
 	if runFault {
-		out.Chaos = sweep(&rep, o, hpcbd.ChaosSweep, hpcbd.CheckChaosSweep, hpcbd.ChaosTables)
-		out.Transport = sweep(&rep, o, hpcbd.TransportSweep, hpcbd.CheckTransportSweep, hpcbd.TransportTables)
-		out.Master = sweep(&rep, o, hpcbd.MasterSweep, hpcbd.CheckMasterSweep, hpcbd.MasterTables)
+		out.Chaos = sweep(&rep, o, core.ChaosSweep, core.CheckChaosSweep, core.ChaosTables)
+		out.Transport = sweep(&rep, o, core.TransportSweep, core.CheckTransportSweep, core.TransportTables)
+		out.Master = sweep(&rep, o, core.MasterSweep, core.CheckMasterSweep, core.MasterTables)
 		oks = append(oks, "deterministic; Spark and Hadoop complete under chaos, loss, corruption and partitions with oracle-correct results; no corrupt byte served; plain MPI deadlocks on loss; resilient MPI retransmits and rolls back; overhead monotone in fault rate; journaled masters fail over with byte-identical output while plain MPI deadlocks on a master kill")
 	}
 	if runPart {
-		out.Partition = sweep(&rep, o, hpcbd.PartitionSweep, hpcbd.CheckPartitionSweep, hpcbd.PartitionTables)
+		out.Partition = sweep(&rep, o, core.PartitionSweep, core.CheckPartitionSweep, core.PartitionTables)
 		oks = append(oks, "fenced leaders isolated by a partition step down and fail over with byte-identical output and zero acknowledged-then-lost journal entries, the unfenced contrast measurably loses acknowledged writes, and plain MPI deadlocks under the same healing cut")
 	}
 	if runTail {
-		out.Tail = sweep(&rep, o, hpcbd.TailSweep, hpcbd.CheckTailSweep, hpcbd.TailTables)
+		out.Tail = sweep(&rep, o, core.TailSweep, core.CheckTailSweep, core.TailTables)
 		oks = append(oks, "adaptive timeouts + ejection + hedging + retry budget cut gray-node p99 tails >= 2x at no material clean-run cost while plain MPI runs at the slowest rank's pace")
 	}
 	if runOver {
-		out.Overload = sweep(&rep, o, hpcbd.OverloadSweep, hpcbd.CheckOverloadSweep, hpcbd.OverloadTables)
+		out.Overload = sweep(&rep, o, core.OverloadSweep, core.CheckOverloadSweep, core.OverloadTables)
 		oks = append(oks, "under memory and disk exhaustion the spill + escalation + fetch-credit + redirect + admission stack keeps completing jobs at >= 2x the unmitigated goodput while the off arm collapses into an OOM retry spiral and statically allocated MPI fails whole at its first refused reservation")
 	}
 
@@ -121,15 +121,15 @@ func main() {
 
 // report collects the tables and shape violations of the sweeps run.
 type report struct {
-	tabs []hpcbd.Table
+	tabs []core.Table
 	bad  []string
 }
 
 // sweep runs one sweep twice with the same seed, so its check can require
 // the two runs to be identical, and adds the first run's tables and the
 // check's violations to rep.
-func sweep[R any](rep *report, o hpcbd.Options, run func(hpcbd.Options) R,
-	check func(a, b R) []string, tables func(R) []hpcbd.Table) *R {
+func sweep[R any](rep *report, o core.Options, run func(core.Options) R,
+	check func(a, b R) []string, tables func(R) []core.Table) *R {
 	a, b := run(o), run(o)
 	rep.tabs = append(rep.tabs, tables(a)...)
 	rep.bad = append(rep.bad, check(a, b)...)

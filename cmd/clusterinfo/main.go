@@ -7,15 +7,15 @@ import (
 	"flag"
 	"fmt"
 
-	"hpcbd"
 	"hpcbd/internal/cluster"
+	"hpcbd/internal/core"
 )
 
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	flag.Parse()
 
-	t := hpcbd.Table1()
+	t := core.Table1()
 	if *csv {
 		fmt.Print(t.CSV())
 		return

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"os"
 
-	"hpcbd"
+	"hpcbd/internal/core"
 )
 
 func main() {
@@ -16,17 +16,17 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	flag.Parse()
 
-	o := hpcbd.FullOptions()
+	o := core.Full()
 	if *quick {
-		o = hpcbd.QuickOptions()
+		o = core.Quick()
 	}
-	t := hpcbd.Table2(o)
+	t := core.Table2(o)
 	if *csv {
 		fmt.Print(t.CSV())
 	} else {
 		fmt.Println(t)
 	}
-	if bad := hpcbd.CheckTable2(hpcbd.Table2Values(o)); len(bad) > 0 {
+	if bad := core.CheckTable2(core.Table2Values(o)); len(bad) > 0 {
 		fmt.Fprintln(os.Stderr, "shape violations:")
 		for _, b := range bad {
 			fmt.Fprintln(os.Stderr, "  "+b)

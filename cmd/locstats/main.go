@@ -8,14 +8,14 @@ import (
 	"fmt"
 	"log"
 
-	"hpcbd"
+	"hpcbd/internal/core"
 )
 
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	flag.Parse()
 
-	t, err := hpcbd.Table3()
+	t, err := core.Table3()
 	if err != nil {
 		log.Fatal(err)
 	}

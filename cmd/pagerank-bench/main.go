@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"os"
 
-	"hpcbd"
+	"hpcbd/internal/core"
 	"hpcbd/internal/exec"
 	"hpcbd/internal/gctune"
 	"hpcbd/internal/profiling"
@@ -25,17 +25,21 @@ func main() {
 	shards := flag.Int("shards", 1, "event-queue shards per kernel; results are identical for every count")
 	profiling.Flags()
 	flag.Parse()
+	if *impl != "bigdatabench" && *impl != "hibench" && *impl != "both" {
+		fmt.Fprintf(os.Stderr, "unknown -impl %q (want bigdatabench, hibench or both)\n", *impl)
+		os.Exit(2)
+	}
 	exec.SetDefaultSize(*pool)
-	hpcbd.SetShards(*shards)
+	core.SetShards(*shards)
 	gctune.Apply()
 	profiling.Start()
 
-	o := hpcbd.FullOptions()
+	o := core.Full()
 	if *quick {
-		o = hpcbd.QuickOptions()
+		o = core.Quick()
 	}
 	fail := false
-	emit := func(fig hpcbd.Figure, bad []string, note string) {
+	emit := func(fig core.Figure, bad []string, note string) {
 		if *csv {
 			fmt.Print(fig.CSV())
 		} else {
@@ -55,16 +59,16 @@ func main() {
 		fmt.Println("shape check: OK (" + note + ")")
 	}
 	if *impl == "bigdatabench" || *impl == "both" {
-		fig, ranks := hpcbd.Fig6(o)
-		emit(fig, hpcbd.CheckFig6(fig, ranks), "MPI fast and flat; Spark scales; RDMA marginal when tuned")
+		fig, ranks := core.Fig6(o)
+		emit(fig, core.CheckFig6(fig, ranks), "MPI fast and flat; Spark scales; RDMA marginal when tuned")
 	}
 	if *impl == "hibench" || *impl == "both" {
-		fig, ranks := hpcbd.Fig7(o)
-		emit(fig, hpcbd.CheckFig7(fig, ranks), "RDMA wins when shuffle-heavy")
+		fig, ranks := core.Fig7(o)
+		emit(fig, core.CheckFig7(fig, ranks), "RDMA wins when shuffle-heavy")
 	}
 	if *ablate {
 		nodes := o.PRNodes[len(o.PRNodes)-1]
-		tuned, untuned := hpcbd.AblationPersist(o, nodes)
+		tuned, untuned := core.AblationPersist(o, nodes)
 		fmt.Printf("persist ablation @%d nodes: tuned=%.2fs untuned=%.2fs speedup=%.2fx (paper: ~3x)\n",
 			nodes, tuned, untuned, untuned/tuned)
 	}

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"os"
 
-	"hpcbd"
+	"hpcbd/internal/core"
 )
 
 func main() {
@@ -20,9 +20,9 @@ func main() {
 	ppn := flag.Int("ppn", 0, "override processes per node")
 	flag.Parse()
 
-	o := hpcbd.FullOptions()
+	o := core.Full()
 	if *quick {
-		o = hpcbd.QuickOptions()
+		o = core.Quick()
 	}
 	if *nodes > 0 {
 		o.ReduceNodes = *nodes
@@ -31,11 +31,11 @@ func main() {
 		o.ReducePPN = *ppn
 	}
 
-	var fig hpcbd.Figure
+	var fig core.Figure
 	if *shmem {
-		fig = hpcbd.Fig3Extended(o)
+		fig = core.Fig3Extended(o)
 	} else {
-		fig = hpcbd.Fig3(o)
+		fig = core.Fig3(o)
 	}
 	if *csv {
 		fmt.Print(fig.CSV())
@@ -45,7 +45,7 @@ func main() {
 	if *plot {
 		fmt.Println(fig.Plot(60, 14))
 	}
-	if bad := hpcbd.CheckFig3(fig); len(bad) > 0 {
+	if bad := core.CheckFig3(fig); len(bad) > 0 {
 		fmt.Fprintln(os.Stderr, "shape violations:")
 		for _, b := range bad {
 			fmt.Fprintln(os.Stderr, "  "+b)

@@ -8,10 +8,10 @@ package main
 import (
 	"fmt"
 
-	"hpcbd"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/core"
 	"hpcbd/internal/dfs"
+	"hpcbd/internal/sim"
 	"hpcbd/internal/workload"
 )
 
@@ -21,7 +21,7 @@ func main() {
 		ppn    = 8
 		gbytes = 4e9 // 4 GB logical dataset
 	)
-	o := hpcbd.QuickOptions()
+	o := core.Quick()
 	dataset := func() *workload.StackExchange {
 		return workload.NewStackExchange(o.Seed, int64(gbytes), o.ACRecordBytes, o.ACStride)
 	}
@@ -36,19 +36,19 @@ func main() {
 	var rows []row
 
 	rows = append(rows, row{"OpenMP (16 threads, 1 node)",
-		core.OMPAnswersCount(hpcbd.NewComet(o.Seed, 1), dataset(), 16)})
+		core.OMPAnswersCount(cluster.Comet(sim.NewKernel(o.Seed), 1), dataset(), 16)})
 
 	rows = append(rows, row{fmt.Sprintf("MPI (%d procs)", nodes*ppn),
-		core.MPIAnswersCount(hpcbd.NewComet(o.Seed, nodes), dataset(), nodes*ppn, ppn)})
+		core.MPIAnswersCount(cluster.Comet(sim.NewKernel(o.Seed), nodes), dataset(), nodes*ppn, ppn)})
 
 	{
-		c := hpcbd.NewComet(o.Seed, nodes)
+		c := cluster.Comet(sim.NewKernel(o.Seed), nodes)
 		fs := dfs.New(c, cluster.IPoIB(), dfs.DefaultConfig())
 		rows = append(rows, row{fmt.Sprintf("Spark (%d executors x %d cores)", nodes, ppn),
 			core.SparkAnswersCount(c, fs, "/se", dataset(), nodes, ppn, false)})
 	}
 	{
-		c := hpcbd.NewComet(o.Seed, nodes)
+		c := cluster.Comet(sim.NewKernel(o.Seed), nodes)
 		fs := dfs.New(c, cluster.IPoIB(), dfs.DefaultConfig())
 		rows = append(rows, row{fmt.Sprintf("Hadoop (%d slots/node)", ppn),
 			core.HadoopAnswersCount(c, fs, "/se", dataset(), ppn)})

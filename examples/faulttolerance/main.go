@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"hpcbd"
 	"hpcbd/internal/chaos"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/dfs"
@@ -47,7 +46,7 @@ func main() {
 // scripted plan crashes node 2 that long into the second count (and
 // recovers it later). It returns the duration of the second count.
 func sparkJob(crashAt time.Duration, report bool) time.Duration {
-	c := hpcbd.NewComet(1, 4)
+	c := cluster.Comet(sim.NewKernel(1), 4)
 	conf := rdd.DefaultConfig()
 	conf.HeartbeatTimeout = 10 * time.Millisecond
 	ctx := rdd.NewContext(c, conf)
@@ -92,7 +91,7 @@ func sparkLineage() {
 
 func dfsFailover() {
 	fmt.Println("2. HDFS: node crash -> transparent read failover + re-replication")
-	c := hpcbd.NewComet(1, 4)
+	c := cluster.Comet(sim.NewKernel(1), 4)
 	cfg := dfs.DefaultConfig()
 	cfg.Replication = 2
 	cfg.RereplicationDelay = 2 * time.Second
@@ -121,7 +120,7 @@ func mpiCheckpoint() {
 	fmt.Println("3. MPI: checkpoint/restart (classical HPC defensive I/O)")
 	const iters, state = 8, int64(64 << 20)
 	run := func(plan *chaos.Plan) mpi.ResilientStats {
-		c := hpcbd.NewComet(1, 2)
+		c := cluster.Comet(sim.NewKernel(1), 2)
 		if plan != nil {
 			chaos.Install(c, plan)
 		}
@@ -142,7 +141,7 @@ func mpiCheckpoint() {
 
 func rdaPrototype() {
 	fmt.Println("4. RDA prototype: Spark-style lineage on the HPC runtime (§VIII)")
-	c := hpcbd.NewComet(1, 2)
+	c := cluster.Comet(sim.NewKernel(1), 2)
 	mpi.Run(c, 4, 2, func(r *mpi.Rank) {
 		j := rda.NewJob(r, r.World(), 1<<16)
 		base := j.Generate("base", func(i int) float64 { return float64(i % 97) })

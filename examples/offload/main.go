@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 
-	"hpcbd"
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/omp"
 	"hpcbd/internal/sim"
@@ -26,7 +25,7 @@ func main() {
 		results := map[string]float64{}
 
 		run := func(name string, spec *cluster.GPUSpec) {
-			c := hpcbd.NewComet(1, 1)
+			c := cluster.Comet(sim.NewKernel(1), 1)
 			if spec != nil {
 				c.AttachGPU(*spec)
 			}

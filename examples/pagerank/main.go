@@ -9,8 +9,9 @@ import (
 	"fmt"
 	"math"
 
-	"hpcbd"
+	"hpcbd/internal/cluster"
 	"hpcbd/internal/core"
+	"hpcbd/internal/sim"
 	"hpcbd/internal/workload"
 )
 
@@ -20,7 +21,7 @@ func main() {
 		ppn   = 16
 		iters = 5
 	)
-	o := hpcbd.QuickOptions()
+	o := core.Quick()
 	g := workload.NewGraph(o.Seed, 4000, 1_000_000, 8)
 	serial := g.SerialPageRank(iters)
 
@@ -39,19 +40,19 @@ func main() {
 	fmt.Printf("PageRank: %d logical vertices (%d physical), %d iterations, %d nodes x %d procs\n\n",
 		g.LogicalVertices, g.NumVertices, iters, nodes, ppn)
 
-	mpiRes := core.MPIPageRank(hpcbd.NewComet(o.Seed, nodes), g, nodes*ppn, ppn, iters)
+	mpiRes := core.MPIPageRank(cluster.Comet(sim.NewKernel(o.Seed), nodes), g, nodes*ppn, ppn, iters)
 	fmt.Printf("  %-34s %8.3fs  %s\n", "MPI (alltoallv exchange)", mpiRes.Seconds, agree(mpiRes.Ranks))
 
-	tuned := core.SparkPageRank(hpcbd.NewComet(o.Seed, nodes), g, nodes, ppn, iters, true, false)
+	tuned := core.SparkPageRank(cluster.Comet(sim.NewKernel(o.Seed), nodes), g, nodes, ppn, iters, true, false)
 	fmt.Printf("  %-34s %8.3fs  %s\n", "Spark tuned (partition+persist)", tuned.Seconds, agree(tuned.Ranks))
 
-	tunedRDMA := core.SparkPageRank(hpcbd.NewComet(o.Seed, nodes), g, nodes, ppn, iters, true, true)
+	tunedRDMA := core.SparkPageRank(cluster.Comet(sim.NewKernel(o.Seed), nodes), g, nodes, ppn, iters, true, true)
 	fmt.Printf("  %-34s %8.3fs  %s\n", "Spark tuned + RDMA shuffle", tunedRDMA.Seconds, agree(tunedRDMA.Ranks))
 
-	untuned := core.SparkPageRank(hpcbd.NewComet(o.Seed, nodes), g, nodes, ppn, iters, false, false)
+	untuned := core.SparkPageRank(cluster.Comet(sim.NewKernel(o.Seed), nodes), g, nodes, ppn, iters, false, false)
 	fmt.Printf("  %-34s %8.3fs  %s\n", "Spark untuned (HiBench style)", untuned.Seconds, agree(untuned.Ranks))
 
-	untunedRDMA := core.SparkPageRank(hpcbd.NewComet(o.Seed, nodes), g, nodes, ppn, iters, false, true)
+	untunedRDMA := core.SparkPageRank(cluster.Comet(sim.NewKernel(o.Seed), nodes), g, nodes, ppn, iters, false, true)
 	fmt.Printf("  %-34s %8.3fs  %s\n", "Spark untuned + RDMA shuffle", untunedRDMA.Seconds, agree(untunedRDMA.Ranks))
 
 	fmt.Printf("\npersist speedup: %.2fx (paper §VI-C: \"a factor of 3\")\n", untuned.Seconds/tuned.Seconds)

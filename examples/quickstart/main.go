@@ -8,7 +8,7 @@ package main
 import (
 	"fmt"
 
-	"hpcbd"
+	"hpcbd/internal/cluster"
 	"hpcbd/internal/mpi"
 	"hpcbd/internal/rdd"
 	"hpcbd/internal/sim"
@@ -22,7 +22,7 @@ func main() {
 	)
 
 	// --- HPC paradigm: MPI allreduce ---------------------------------
-	c := hpcbd.NewComet(1, nodes)
+	c := cluster.Comet(sim.NewKernel(1), nodes)
 	var mpiSum float64
 	var mpiTime sim.Time
 	mpi.Launch(c, nodes*ppn, ppn, func(r *mpi.Rank) {
@@ -45,7 +45,7 @@ func main() {
 	c.K.Run()
 
 	// --- Big Data paradigm: Spark reduce ------------------------------
-	c2 := hpcbd.NewComet(1, nodes)
+	c2 := cluster.Comet(sim.NewKernel(1), nodes)
 	ctx := rdd.NewContext(c2, rdd.DefaultConfig())
 	var sparkSum float64
 	var sparkTime sim.Time

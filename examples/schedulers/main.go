@@ -10,8 +10,9 @@ import (
 	"fmt"
 	"time"
 
-	"hpcbd"
+	"hpcbd/internal/cluster"
 	"hpcbd/internal/rm"
+	"hpcbd/internal/sim"
 )
 
 func main() {
@@ -43,9 +44,9 @@ func main() {
 		}
 	}
 
-	show("Slurm-like FIFO (exclusive nodes)", rm.RunSlurm(hpcbd.NewComet(1, nodes), mk(), false))
-	show("Slurm-like with backfill", rm.RunSlurm(hpcbd.NewComet(1, nodes), mk(), true))
-	show("YARN-like containers", rm.RunYarn(hpcbd.NewComet(1, nodes), mk()))
+	show("Slurm-like FIFO (exclusive nodes)", rm.RunSlurm(cluster.Comet(sim.NewKernel(1), nodes), mk(), false))
+	show("Slurm-like with backfill", rm.RunSlurm(cluster.Comet(sim.NewKernel(1), nodes), mk(), true))
+	show("YARN-like containers", rm.RunYarn(cluster.Comet(sim.NewKernel(1), nodes), mk()))
 
 	fmt.Println("\nThe paper's §IV stack table, quantified: exclusive nodes give the")
 	fmt.Println("HPC jobs isolation but strand cores behind queued jobs; containers")

@@ -18,7 +18,7 @@ import (
 	"strings"
 	"testing"
 
-	"hpcbd"
+	"hpcbd/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.sum from this tree's output")
@@ -30,30 +30,30 @@ const goldenSum = "testdata/golden.sum"
 type goldenArtifact struct{ name, text string }
 
 func goldenArtifacts(t *testing.T) []goldenArtifact {
-	q := hpcbd.QuickOptions()
-	f := hpcbd.FullOptions()
-	fig4, res4 := hpcbd.Fig4(f)
-	fig6, ranks6 := hpcbd.Fig6(f)
-	fig7, ranks7 := hpcbd.Fig7(f)
-	table3, err := hpcbd.Table3()
+	q := core.Quick()
+	f := core.Full()
+	fig4, res4 := core.Fig4(f)
+	fig6, ranks6 := core.Fig6(f)
+	fig7, ranks7 := core.Fig7(f)
+	table3, err := core.Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []goldenArtifact{
-		{"fig3", fmt.Sprintf("%#v", hpcbd.Fig3(f))},
-		{"table2", fmt.Sprintf("%#v", hpcbd.Table2Values(f))},
+		{"fig3", fmt.Sprintf("%#v", core.Fig3(f))},
+		{"table2", fmt.Sprintf("%#v", core.Table2Values(f))},
 		{"fig4", fmt.Sprintf("%#v", fig4)},
 		{"fig4res", fmt.Sprintf("%#v", res4)},
 		{"fig6", fmt.Sprintf("%#v", fig6)},
 		{"fig6ranks", fmt.Sprintf("%v", ranks6)},
 		{"fig7", fmt.Sprintf("%#v", fig7)},
 		{"fig7ranks", fmt.Sprintf("%v", ranks7)},
-		{"chaos-quick", fmt.Sprintf("%#v", hpcbd.ChaosSweep(q))},
-		{"transport-quick", fmt.Sprintf("%#v", hpcbd.TransportSweep(q))},
-		{"partition-quick", fmt.Sprintf("%#v", hpcbd.PartitionSweep(q))},
-		{"master-quick", fmt.Sprintf("%#v", hpcbd.MasterSweep(q))},
-		{"tail-quick", fmt.Sprintf("%#v", hpcbd.TailSweep(q))},
-		{"overload-quick", fmt.Sprintf("%#v", hpcbd.OverloadSweep(q))},
+		{"chaos-quick", fmt.Sprintf("%#v", core.ChaosSweep(q))},
+		{"transport-quick", fmt.Sprintf("%#v", core.TransportSweep(q))},
+		{"partition-quick", fmt.Sprintf("%#v", core.PartitionSweep(q))},
+		{"master-quick", fmt.Sprintf("%#v", core.MasterSweep(q))},
+		{"tail-quick", fmt.Sprintf("%#v", core.TailSweep(q))},
+		{"overload-quick", fmt.Sprintf("%#v", core.OverloadSweep(q))},
 		{"table3", fmt.Sprintf("%#v", table3)},
 	}
 }

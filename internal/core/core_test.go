@@ -18,6 +18,17 @@ func TestTable1MatchesPaper(t *testing.T) {
 			t.Errorf("Table I missing %q:\n%s", want, s)
 		}
 	}
+	// The Full preset carries the paper's dataset sizes; Quick shrinks them.
+	full, quick := Full(), Quick()
+	if full.ACBytes != 80e9 {
+		t.Errorf("full AC dataset %g, want the paper's 80 GB", float64(full.ACBytes))
+	}
+	if full.PRLogicalVertices != 1_000_000 {
+		t.Errorf("full PR vertices %d, want the paper's 1M", full.PRLogicalVertices)
+	}
+	if quick.ACBytes >= full.ACBytes {
+		t.Error("quick options not smaller than full")
+	}
 }
 
 func TestFig3ShapeHolds(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"hpcbd/internal/core"
 	"hpcbd/internal/exec"
 	"hpcbd/internal/rdd"
 )
@@ -43,12 +44,12 @@ func (h host) run(fn func()) {
 		defer exec.SetDefaultSize(0)
 	}
 	if h.shards > 0 {
-		defer SetShards(Shards())
-		SetShards(h.shards)
+		defer core.SetShards(core.Shards())
+		core.SetShards(h.shards)
 	}
 	if h.workers > 0 {
-		defer SetWorkers(Workers())
-		SetWorkers(h.workers)
+		defer core.SetWorkers(core.Workers())
+		core.SetWorkers(h.workers)
 	}
 	if h.width > 0 {
 		exec.SetForEachWidth(h.width)
@@ -77,18 +78,18 @@ func counted(row func(n int) host) []host {
 	return rows
 }
 
-// artifact is one column: an output at QuickOptions scale and how two
+// artifact is one column: an output at core.Quick() scale and how two
 // of its results are compared.
 type artifact struct {
 	name  string
 	slow  bool // skipped under -short
-	run   func(Options) any
+	run   func(core.Options) any
 	check func(ref, got any) []string
 	ref   any // the serial reference, computed on first use
 }
 
 // figure is an artifact compared with reflect.DeepEqual.
-func figure(name string, run func(Options) any) *artifact {
+func figure(name string, run func(core.Options) any) *artifact {
 	return &artifact{name: name, run: run, check: func(ref, got any) []string {
 		if !reflect.DeepEqual(ref, got) {
 			return []string{"differs from the serial reference"}
@@ -99,24 +100,24 @@ func figure(name string, run func(Options) any) *artifact {
 
 // sweep is an artifact compared with its own Check*Sweep(ref, got),
 // which asserts bit-identity and the sweep's shapes on both results.
-func sweep[R any](name string, slow bool, run func(Options) R, check func(a, b R) []string) *artifact {
+func sweep[R any](name string, slow bool, run func(core.Options) R, check func(a, b R) []string) *artifact {
 	return &artifact{name: name, slow: slow,
-		run:   func(o Options) any { return run(o) },
+		run:   func(o core.Options) any { return run(o) },
 		check: func(ref, got any) []string { return check(ref.(R), got.(R)) },
 	}
 }
 
 var (
-	fig3 = figure("Fig3", func(o Options) any { return Fig3(o) })
-	fig4 = figure("Fig4", func(o Options) any { f, res := Fig4(o); return []any{f, res} })
-	fig6 = figure("Fig6", func(o Options) any { f, ranks := Fig6(o); return []any{f, ranks} })
-	fig7 = figure("Fig7", func(o Options) any { f, ranks := Fig7(o); return []any{f, ranks} })
+	fig3 = figure("Fig3", func(o core.Options) any { return core.Fig3(o) })
+	fig4 = figure("Fig4", func(o core.Options) any { f, res := core.Fig4(o); return []any{f, res} })
+	fig6 = figure("Fig6", func(o core.Options) any { f, ranks := core.Fig6(o); return []any{f, ranks} })
+	fig7 = figure("Fig7", func(o core.Options) any { f, ranks := core.Fig7(o); return []any{f, ranks} })
 
-	masterSweep    = sweep("master sweep", false, MasterSweep, CheckMasterSweep)
-	tailSweep      = sweep("tail sweep", true, TailSweep, CheckTailSweep)
-	overloadSweep  = sweep("overload sweep", true, OverloadSweep, CheckOverloadSweep)
-	partitionSweep = sweep("partition sweep", true, PartitionSweep, CheckPartitionSweep)
-	transportSweep = sweep("transport sweep", true, TransportSweep, CheckTransportSweep)
+	masterSweep    = sweep("master sweep", false, core.MasterSweep, core.CheckMasterSweep)
+	tailSweep      = sweep("tail sweep", true, core.TailSweep, core.CheckTailSweep)
+	overloadSweep  = sweep("overload sweep", true, core.OverloadSweep, core.CheckOverloadSweep)
+	partitionSweep = sweep("partition sweep", true, core.PartitionSweep, core.CheckPartitionSweep)
+	transportSweep = sweep("transport sweep", true, core.TransportSweep, core.CheckTransportSweep)
 )
 
 // on checks the artifact on every row against its serial reference.
@@ -125,7 +126,7 @@ func (a *artifact) on(t *testing.T, rows ...host) {
 	if a.slow && testing.Short() {
 		t.Skipf("%s is slow; run without -short", a.name)
 	}
-	o := QuickOptions()
+	o := core.Quick()
 	if a.ref == nil {
 		serialHost.run(func() { a.ref = a.run(o) })
 	}
@@ -190,14 +191,14 @@ func TestTransportSweepPoolInvariance(t *testing.T)  { transportSweep.on(t, pool
 func TestTransportSweepShardInvariance(t *testing.T) { transportSweep.on(t, host{shards: 4}) }
 
 func TestScaleSweepWorkerInvarianceFacade(t *testing.T) {
-	o := QuickOptions()
-	cfg := DefaultScaleConfig()
+	o := core.Quick()
+	cfg := core.DefaultScaleConfig()
 	cfg.NodeCounts = []int{36, 72}
 	cfg.PPN, cfg.RackSize = 2, 18
 	cfg.Shards = 4
-	ref := ScaleSweep(o, cfg)
+	ref := core.ScaleSweep(o, cfg)
 	cfg.Workers = 4
-	got := ScaleSweep(o, cfg)
+	got := core.ScaleSweep(o, cfg)
 	for i := range ref {
 		if got[i].SimSeconds != ref[i].SimSeconds || got[i].Events != ref[i].Events || !got[i].OK {
 			t.Errorf("scale point %d differs between workers=1 and workers=4: %+v vs %+v", i, ref[i], got[i])
@@ -221,8 +222,8 @@ func TestParallelSpeedupGate(t *testing.T) {
 	if c := runtime.NumCPU(); c < 4 {
 		t.Skipf("host has %d CPU(s); wall-clock speedup from 4 dispatch workers is unrealizable", c)
 	}
-	o := QuickOptions()
-	cfg := DefaultScaleConfig()
+	o := core.Quick()
+	cfg := core.DefaultScaleConfig()
 	cfg.NodeCounts = []int{1000, 2000, 4000}
 	cfg.Shards = 4
 	// Sweep points normally run concurrently; pin them sequential so the
@@ -233,7 +234,7 @@ func TestParallelSpeedupGate(t *testing.T) {
 		c := cfg
 		c.Workers = workers
 		start := time.Now()
-		pts := ScaleSweep(o, c)
+		pts := core.ScaleSweep(o, c)
 		elapsed := time.Since(start).Seconds()
 		var events int64
 		for _, p := range pts {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"hpcbd/internal/core"
 	"hpcbd/internal/gctune"
 )
 
@@ -25,7 +26,7 @@ func TestMain(m *testing.M) {
 	for _, e := range []struct {
 		name string
 		set  func(int)
-	}{{"HPCBD_SHARDS", SetShards}, {"HPCBD_WORKERS", SetWorkers}} {
+	}{{"HPCBD_SHARDS", core.SetShards}, {"HPCBD_WORKERS", core.SetWorkers}} {
 		if v := os.Getenv(e.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
