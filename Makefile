@@ -27,8 +27,8 @@ test:
 # Builds every command and example once into $(SMOKE_BIN)/ and runs each
 # at its smallest scale: the *-bench tools with -quick (chaos-bench runs
 # under `make chaos`), clusterinfo, locstats and every example bare. Fails
-# on any non-zero exit, and on an unknown -impl or -only name that does
-# not exit 2.
+# on any non-zero exit, and on an unknown -impl or -only name or a
+# -scale-max below 1000 that does not exit 2.
 SMOKE_BIN ?= .smoke
 SMOKE_BENCH := $(filter-out chaos-bench,$(notdir $(wildcard cmd/*-bench)))
 SMOKE_PLAIN := clusterinfo locstats $(notdir $(wildcard examples/*))
@@ -36,7 +36,7 @@ smoke:
 	$(GO) build -o $(SMOKE_BIN)/ ./cmd/... ./examples/...
 	@set -e; for t in $(SMOKE_BENCH); do echo "smoke: $$t -quick"; $(SMOKE_BIN)/$$t -quick >/dev/null; done
 	@set -e; for t in $(SMOKE_PLAIN); do echo "smoke: $$t"; $(SMOKE_BIN)/$$t >/dev/null; done
-	@for c in "pagerank-bench -quick -impl bogus" "stack-bench -quick -only bogus" "stack-bench -only interconnect,filesytem"; do \
+	@for c in "pagerank-bench -quick -impl bogus" "stack-bench -quick -only bogus" "stack-bench -only interconnect,filesytem" "answerscount-bench -quick -scale -scale-max 500"; do \
 		rc=0; $(SMOKE_BIN)/$$c >/dev/null 2>&1 || rc=$$?; \
 		if [ $$rc -ne 2 ]; then echo "smoke: $$c exited $$rc, want 2"; exit 1; fi; \
 	done
@@ -45,13 +45,10 @@ smoke:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/... ./internal/mpi/...
-	# Multi-shard, parallel-dispatch soak: the quick suite with concurrent
-	# sweep points on a 4-way sharded kernel, serial between windows of 4
-	# workers — the race detector sees every gang worker touch the shard
-	# queues, inboxes and op logs.
-	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/mpi/...
-	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -short -count=1 .
-	HPCBD_SHARDS=4 HPCBD_WORKERS=4 $(GO) test -race -count=2 ./internal/core/...
+	# The experiment suite in full, twice: sweep points run concurrently
+	# under exec.ForEach, and ScaleSweep's sharded points open parallel
+	# dispatch windows, so the race detector sees both.
+	$(GO) test -race -count=2 ./internal/core/...
 
 # Every fault-injection sweep (node crashes, lossy network, master
 # kills, split-brain partitions, gray-node tails, resource-exhaustion

@@ -25,15 +25,12 @@ var printOnce sync.Map
 // reportHostPerf attaches host-side performance metrics to a benchmark:
 // simulator throughput (kernel events retired per wall-clock second) and
 // allocation counts. startEvents is sim.TotalEvents() sampled before the
-// benchmark loop. The dispatch worker count rides along so benchcmp can
-// refuse to diff a serial baseline against a parallel run — their
-// sim-events/sec are not comparable.
+// benchmark loop.
 func reportHostPerf(b *testing.B, startEvents int64) {
 	b.ReportAllocs()
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(sim.TotalEvents()-startEvents)/s, "sim-events/sec")
 	}
-	b.ReportMetric(float64(core.Workers()), "workers")
 }
 
 // emit prints an artifact once per benchmark name, keeping -bench output
@@ -131,25 +128,6 @@ func BenchmarkFig6PageRankBigDataBench(b *testing.B) {
 		if mpiS, ok := fig.Get("MPI"); ok && len(mpiS.Points) > 0 {
 			b.ReportMetric(mpiS.Points[len(mpiS.Points)-1].Y*1e3, "mpi-simms")
 		}
-	}
-}
-
-// BenchmarkFig6PageRankSharded regenerates Fig 6 on a 4-way sharded
-// kernel with concurrent sweep points — the multicore configuration the
-// sharded kernel targets. Output is bit-identical to the one-shard
-// benchmark (the host-invariance tests pin it); only host throughput
-// differs. Compare its sim-events/sec against
-// BenchmarkFig6PageRankBigDataBench to read the speedup on this host.
-func BenchmarkFig6PageRankSharded(b *testing.B) {
-	o := benchOptions()
-	prev := core.Shards()
-	core.SetShards(4)
-	defer core.SetShards(prev)
-	ev0 := sim.TotalEvents()
-	defer func() { reportHostPerf(b, ev0) }()
-	for i := 0; i < b.N; i++ {
-		fig, ranks := core.Fig6(o)
-		emit("fig6-sharded", fig, core.CheckFig6(fig, ranks))
 	}
 }
 

@@ -19,15 +19,17 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	gb := flag.Float64("gb", 0, "override dataset size in decimal GB")
 	pool := flag.Int("pool", 0, "host worker pool size for simulated-task payloads (0 = GOMAXPROCS); results are identical for every size")
-	shards := flag.Int("shards", 1, "event-queue shards per kernel; results are identical for every count")
-	workers := flag.Int("workers", 0, "parallel dispatch workers per kernel (0 = serial; needs -shards > 1 to engage); results are identical for every count")
 	scale := flag.Bool("scale", false, "also run the production-scale sweep (1,000+ nodes, MPI)")
-	scaleNodes := flag.Int("scale-max", 4000, "largest node count of the -scale sweep (doubling from 1000)")
+	scaleNodes := flag.Int("scale-max", 4000, "largest node count of the -scale sweep (doubling from 1000; at least 1000)")
+	shards := flag.Int("shards", 0, "event-queue shards per -scale point (0 = one per 8 racks); -scale only, results are identical for every count")
+	workers := flag.Int("workers", 0, "parallel dispatch workers per -scale point (0 = serial; needs several shards to engage); -scale only, results are identical for every count")
 	profiling.Flags()
 	flag.Parse()
+	if *scale && *scaleNodes < 1000 {
+		fmt.Fprintf(os.Stderr, "-scale-max %d is below the sweep's first point (1000 nodes)\n", *scaleNodes)
+		os.Exit(2)
+	}
 	exec.SetDefaultSize(*pool)
-	core.SetShards(*shards)
-	core.SetWorkers(*workers)
 	gctune.Apply()
 	profiling.Start()
 
@@ -62,12 +64,7 @@ func main() {
 		for n := 1000; n <= *scaleNodes; n *= 2 {
 			cfg.NodeCounts = append(cfg.NodeCounts, n)
 		}
-		flag.Visit(func(f *flag.Flag) { // without -shards: one shard per 8 racks
-			if f.Name == "shards" {
-				cfg.Shards = *shards
-			}
-		})
-		cfg.Workers = *workers
+		cfg.Shards, cfg.Workers = *shards, *workers
 		pts := core.ScaleSweep(o, cfg)
 		fmt.Println(core.ScaleTable(pts))
 		for _, p := range pts {

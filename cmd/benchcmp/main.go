@@ -6,10 +6,6 @@
 //
 //	make bench                                 # writes BENCH_<date>.json
 //	go run ./cmd/benchcmp OLD.json NEW.json    # diff, gate at 10% / 15%
-//
-// Benchmarks record their dispatch worker count (the `workers` metric);
-// a pair recorded at different counts is skipped rather than compared,
-// so a serial baseline never gates a parallel run or vice versa.
 package main
 
 import (
@@ -36,19 +32,16 @@ var (
 	nsValue    = regexp.MustCompile(`([0-9.]+) ns/op`)
 	allocValue = regexp.MustCompile(`([0-9.]+) allocs/op`)
 	evsecValue = regexp.MustCompile(`([0-9.]+(?:[eE][+-]?[0-9]+)?) sim-events/sec`)
-	workValue  = regexp.MustCompile(`([0-9.]+) workers`)
 	cpuSuffix  = regexp.MustCompile(`-\d+$`) // the -GOMAXPROCS name suffix
 )
 
 // result is one benchmark's measurements. allocs is -1 when the file was
 // recorded without -benchmem; evsec is -1 when the benchmark does not
-// report simulator throughput. workers defaults to 1 when the file
-// predates the metric: unrecorded runs were serial.
+// report simulator throughput.
 type result struct {
-	ns      float64
-	allocs  float64
-	evsec   float64
-	workers float64
+	ns     float64
+	allocs float64
+	evsec  float64
 }
 
 // parseFile extracts benchmark name -> measurements from a result file.
@@ -84,15 +77,9 @@ func parseFile(path string) (map[string]result, error) {
 				evsec = v
 			}
 		}
-		workers := 1.0
-		if w := workValue.FindStringSubmatch(line); w != nil {
-			if v, err := strconv.ParseFloat(w[1], 64); err == nil && v >= 1 {
-				workers = v
-			}
-		}
 		name = cpuSuffix.ReplaceAllString(name, "")
 		if _, dup := out[name]; !dup {
-			out[name] = result{ns: ns, allocs: allocs, evsec: evsec, workers: workers}
+			out[name] = result{ns: ns, allocs: allocs, evsec: evsec}
 		}
 	}
 	sc := bufio.NewScanner(f)
@@ -162,12 +149,6 @@ func main() {
 		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
 	for _, name := range names {
 		o, n := old[name], cur[name]
-		if o.workers != n.workers {
-			// A serial baseline and a parallel-dispatch run measure
-			// different executions; diffing them would gate on noise.
-			fmt.Printf("%-42s skipped: recorded at %.0f vs %.0f dispatch workers\n", name, o.workers, n.workers)
-			continue
-		}
 		gated := gateRE.MatchString(name)
 		nsDelta := pct(o.ns, n.ns)
 		mark := ""

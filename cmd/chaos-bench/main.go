@@ -44,11 +44,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.Bool("json", false, "emit the raw sweep results as JSON (suppresses tables)")
 	mode := flag.String("mode", "all", "which sweeps to run: all, fault (chaos+transport+master+partition), partition, tail or overload")
-	shards := flag.Int("shards", 1, "event-queue shards per kernel; results are identical for every count")
-	workers := flag.Int("workers", 0, "parallel dispatch workers per kernel (0 = serial; needs -shards > 1 to engage); results are identical for every count")
 	flag.Parse()
-	core.SetShards(*shards)
-	core.SetWorkers(*workers)
 
 	o := core.Full()
 	if *quick {

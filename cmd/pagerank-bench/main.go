@@ -22,7 +22,6 @@ func main() {
 	impl := flag.String("impl", "both", "bigdatabench (Fig 6), hibench (Fig 7), or both")
 	ablate := flag.Bool("ablate", false, "also run the persist ablation")
 	pool := flag.Int("pool", 0, "host worker pool size for simulated-task payloads (0 = GOMAXPROCS); results are identical for every size")
-	shards := flag.Int("shards", 1, "event-queue shards per kernel; results are identical for every count")
 	profiling.Flags()
 	flag.Parse()
 	if *impl != "bigdatabench" && *impl != "hibench" && *impl != "both" {
@@ -30,7 +29,6 @@ func main() {
 		os.Exit(2)
 	}
 	exec.SetDefaultSize(*pool)
-	core.SetShards(*shards)
 	gctune.Apply()
 	profiling.Start()
 

@@ -1,54 +1,11 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"hpcbd/internal/cluster"
 	"hpcbd/internal/sim"
 )
-
-// kernelShards is the event-shard count every experiment cluster is
-// built with (see cluster.EnableSharding). Atomic because sweep points
-// build clusters concurrently under exec.ForEach. Values below one mean
-// one shard.
-var kernelShards atomic.Int64
-
-// SetShards configures the event-queue shard count for all subsequently
-// built experiment clusters (n <= 1 means one shard, the default).
-// Shard counts are a pure performance knob: every figure, table and
-// counter is bit-identical at every value — the host-invariance tests
-// and golden digests pin that contract.
-func SetShards(n int) { kernelShards.Store(int64(n)) }
-
-// Shards reports the configured shard count (minimum 1).
-func Shards() int {
-	if n := int(kernelShards.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
-// kernelWorkers is the dispatch worker count every experiment kernel is
-// configured with (see sim.Kernel.SetParallel). Like kernelShards it is
-// atomic for concurrent sweep points. Zero/one = serial dispatch.
-var kernelWorkers atomic.Int64
-
-// SetWorkers configures the parallel-dispatch worker count for all
-// subsequently built experiment clusters. Workers, like shards, are a
-// pure performance knob: committed event order, virtual times and every
-// counter are bit-identical at every value — the host-invariance tests
-// pin that contract. Parallel dispatch engages only when the kernel
-// also has several shards (Shards() > 1).
-func SetWorkers(n int) { kernelWorkers.Store(int64(n)) }
-
-// Workers reports the configured worker count (minimum 1).
-func Workers() int {
-	if n := int(kernelWorkers.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
 
 // Options scales the experiments. Full() reproduces the paper's
 // configurations (logical sizes; physical samples stay small); Quick()
@@ -197,13 +154,7 @@ func Quick() Options {
 }
 
 // newCluster builds a Comet cluster of n nodes with a fresh kernel, so
-// every measurement starts from a cold, isolated platform. The global
-// shard count (SetShards) is applied before any runtime spawns, so
-// processes land on their nodes' shards.
+// every measurement starts from a cold, isolated platform.
 func newCluster(seed int64, n int) *cluster.Cluster {
-	k := sim.NewKernel(seed)
-	k.SetParallel(Workers())
-	c := cluster.Comet(k, n)
-	c.EnableSharding(Shards())
-	return c
+	return cluster.Comet(sim.NewKernel(seed), n)
 }

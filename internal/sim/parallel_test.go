@@ -214,6 +214,8 @@ func TestParallelWindowProperty(t *testing.T) {
 
 // TestParallelUnshardedNoop: SetParallel on one shard (or without a
 // lookahead) must never open a window and must leave results untouched.
+// Nor may it on several shards with a lookahead when no process is
+// confined: window dispatch is armed but has nothing to run.
 func TestParallelUnshardedNoop(t *testing.T) {
 	run := func(shards int, la time.Duration, workers int) (Time, int64, ShardStats) {
 		k := NewKernel(7)
@@ -240,7 +242,7 @@ func TestParallelUnshardedNoop(t *testing.T) {
 		shards  int
 		la      time.Duration
 		workers int
-	}{{1, 0, 4}, {1, time.Microsecond, 4}, {2, 0, 4}} {
+	}{{1, 0, 4}, {1, time.Microsecond, 4}, {2, 0, 4}, {4, time.Microsecond, 4}} {
 		ge, gs, st := run(c.shards, c.la, c.workers)
 		if ge != re || gs != rs {
 			t.Errorf("%+v: end=%v sum=%d, want end=%v sum=%d", c, ge, gs, re, rs)
