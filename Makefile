@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all fmt build test vet smoke race chaos verify bench benchcmp bench-quick bench-shards bench-parallel profile experiments ledger ledger-test
+.PHONY: all fmt build test vet smoke race chaos verify bench benchcmp bench-quick profile experiments ledger ledger-test
 
 all: verify
 
@@ -24,37 +24,45 @@ vet:
 test:
 	$(GO) test ./...
 
-# Builds every command and example once into $(SMOKE_BIN)/ and runs each
-# at its smallest scale: the *-bench tools with -quick (chaos-bench runs
-# under `make chaos`), clusterinfo, locstats and every example bare. Fails
-# on any non-zero exit, and on an unknown -impl or -only name or a
-# -scale-max below 1000 that does not exit 2.
+# The six fault-injection sweeps among hpcbd's artifacts (node crashes,
+# lossy network, master kills, split-brain partitions, gray-node tails,
+# resource-exhaustion overload).
+SWEEPS := chaos transport master partition tail overload
+SWEEP_RE := $(shell echo $(SWEEPS) | tr ' ' '|')
+
+# Builds hpcbd and every example once into $(SMOKE_BIN)/ and runs every
+# hpcbd artifact but the sweeps (those run under `make chaos`) with
+# -quick, in one process, and every example bare. Fails on any non-zero
+# exit, and on an unknown artifact name or -csv with -json that does not
+# exit 2.
 SMOKE_BIN ?= .smoke
-SMOKE_BENCH := $(filter-out chaos-bench,$(notdir $(wildcard cmd/*-bench)))
-SMOKE_PLAIN := clusterinfo locstats $(notdir $(wildcard examples/*))
 smoke:
-	$(GO) build -o $(SMOKE_BIN)/ ./cmd/... ./examples/...
-	@set -e; for t in $(SMOKE_BENCH); do echo "smoke: $$t -quick"; $(SMOKE_BIN)/$$t -quick >/dev/null; done
-	@set -e; for t in $(SMOKE_PLAIN); do echo "smoke: $$t"; $(SMOKE_BIN)/$$t >/dev/null; done
-	@for c in "pagerank-bench -quick -impl bogus" "stack-bench -quick -only bogus" "stack-bench -only interconnect,filesytem" "answerscount-bench -quick -scale -scale-max 500"; do \
-		rc=0; $(SMOKE_BIN)/$$c >/dev/null 2>&1 || rc=$$?; \
-		if [ $$rc -ne 2 ]; then echo "smoke: $$c exited $$rc, want 2"; exit 1; fi; \
+	$(GO) build -o $(SMOKE_BIN)/ ./cmd/hpcbd ./examples/...
+	@set -e; names=$$($(SMOKE_BIN)/hpcbd 2>&1 | sed -n 's/^artifacts: //p'); \
+		run=$$(for n in $$names; do case " $(SWEEPS) " in *" $$n "*) ;; *) echo $$n;; esac; done); \
+		echo "smoke: hpcbd -quick" $$run; $(SMOKE_BIN)/hpcbd -quick $$run >/dev/null 2>$(SMOKE_BIN)/hpcbd.err \
+			|| { cat $(SMOKE_BIN)/hpcbd.err; exit 1; }
+	@set -e; for t in $(notdir $(wildcard examples/*)); do echo "smoke: $$t"; $(SMOKE_BIN)/$$t >/dev/null; done
+	@for c in "bogus" "interconnect filesytem" "-csv -json fig3"; do \
+		rc=0; $(SMOKE_BIN)/hpcbd $$c >/dev/null 2>&1 || rc=$$?; \
+		if [ $$rc -ne 2 ]; then echo "smoke: hpcbd $$c exited $$rc, want 2"; exit 1; fi; \
 	done
 	@echo "smoke: OK"
 
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/... ./internal/mpi/...
-	# The experiment suite in full, twice: sweep points run concurrently
-	# under exec.ForEach, and ScaleSweep's sharded points open parallel
-	# dispatch windows, so the race detector sees both.
+	# The experiment suite in full, twice: ScaleSweep's sharded points open
+	# parallel dispatch windows. Then both runs of every sweep, twice,
+	# without the full-scale figures: sweep points run concurrently under
+	# exec.ForEach, so the race detector sees them.
 	$(GO) test -race -count=2 ./internal/core/...
+	$(GO) test -race -count=2 -run 'TestArtifacts/($(SWEEP_RE))$$' .
 
-# Every fault-injection sweep (node crashes, lossy network, master
-# kills, split-brain partitions, gray-node tails, resource-exhaustion
-# overload) at test scale, with their determinism and shape checks.
+# Every fault-injection sweep at test scale, each run twice for its
+# determinism and shape checks.
 chaos:
-	$(GO) run ./cmd/chaos-bench -quick
+	$(GO) run ./cmd/hpcbd -quick $(SWEEPS)
 
 verify: fmt build vet smoke test race chaos
 	@echo "verify: OK"
@@ -83,24 +91,6 @@ bench-quick:
 	$(GO) test -run '^$$' -bench 'Fig4AnswersCount|Fig6PageRankBigDataBench|Fig7PageRankHiBench' -short -benchtime 1x -benchmem . | tee bench-quick-latest.txt
 	$(GO) run ./cmd/benchcmp -max-regress 75 -max-alloc-regress 15 bench/baseline-quick.txt bench-quick-latest.txt
 
-# Sharded-kernel scaling: the event-storm microbenchmark at 1 vs 4
-# shards, and the production-scale (1,000+ node) AnswersCount sweep with
-# kernel telemetry (events/sec, cross-shard traffic, independence).
-bench-shards:
-	$(GO) test -run '^$$' -bench BenchmarkShardedStorm -benchtime 5x -benchmem ./internal/sim/
-	$(GO) run ./cmd/answerscount-bench -quick -shards 4 -scale -scale-max 4000
-
-# Multicore dispatch scaling: the production-scale sweep at 1, 2, 4 and
-# 8 window-dispatch workers on the 4-way sharded kernel. The Workers and
-# Windowed telemetry columns show how much of the event stream ran
-# inside conservative windows; events/sec shows the realized speedup
-# (bounded by the host's core count — on a single-core host the worker
-# counts tie).
-bench-parallel:
-	for w in 1 2 4 8; do \
-		$(GO) run ./cmd/answerscount-bench -quick -shards 4 -workers $$w -scale -scale-max 4000 || exit 1; \
-	done
-
 # The repo's benchmark (BENCHMARK.json): every ledger workload end to end,
 # and the ledger's own tests — a nested module, so `go test ./...` from
 # the root does not descend into it.
@@ -115,10 +105,10 @@ ledger-test:
 # Inspect with: $(GO) tool pprof profiles/pagerank.cpu.pprof
 profile:
 	mkdir -p profiles
-	$(GO) run ./cmd/pagerank-bench -cpuprofile profiles/pagerank.cpu.pprof -memprofile profiles/pagerank.mem.pprof
-	$(GO) run ./cmd/answerscount-bench -cpuprofile profiles/answerscount.cpu.pprof -memprofile profiles/answerscount.mem.pprof
+	$(GO) run ./cmd/hpcbd -cpuprofile profiles/pagerank.cpu.pprof -memprofile profiles/pagerank.mem.pprof fig6 fig7
+	$(GO) run ./cmd/hpcbd -cpuprofile profiles/answerscount.cpu.pprof -memprofile profiles/answerscount.mem.pprof fig4
 	@echo "profiles written to profiles/"
 
-# The §VI-D fault-tolerance sweep at paper scale.
+# The six fault-injection sweeps at paper scale.
 experiments:
-	$(GO) run ./cmd/chaos-bench
+	$(GO) run ./cmd/hpcbd $(SWEEPS)

@@ -89,8 +89,7 @@ func BenchmarkFig3ReduceWithSHMEM(b *testing.B) {
 func BenchmarkTable2FileRead(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t := core.Table2(o)
-		vals := core.Table2Values(o)
+		t, vals := core.Table2(o)
 		emit("table2", t, core.CheckTable2(vals))
 		last := vals[len(vals)-1]
 		b.ReportMetric(last[0], "hdfs-simsec")
@@ -272,7 +271,7 @@ func BenchmarkAblationMemory(b *testing.B) {
 
 func BenchmarkChaosSweep(b *testing.B) {
 	if testing.Short() {
-		b.Skip("chaos sweep at quick scale is covered by TestChaosSweep")
+		b.Skip("chaos sweep at quick scale is covered by TestArtifacts/chaos")
 	}
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {

@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("  Spark reduce   : sum=%.0f (want %.0f)  time=%v\n", sparkSum, want, sparkTime)
 	fmt.Printf("\nMPI is %.0fx faster here — the asynchronous runtime vs the driver-\n",
 		float64(sparkTime)/float64(mpiTime))
-	fmt.Println("orchestrated engine, exactly the Fig 3 story. Run cmd/reduce-bench")
-	fmt.Println("for the full sweep, and cmd/pagerank-bench for the cases where the")
-	fmt.Println("Big Data stack wins back ground.")
+	fmt.Println("orchestrated engine, exactly the Fig 3 story. Run `hpcbd fig3` for")
+	fmt.Println("the full sweep, and `hpcbd fig6 fig7` for the cases where the Big")
+	fmt.Println("Data stack wins back ground.")
 }

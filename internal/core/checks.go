@@ -174,6 +174,7 @@ func CheckFig6(f Figure, ranks map[string][]float64) []string {
 			bad = append(bad, fmt.Sprintf("fig6: at %g nodes RDMA changes tuned Spark by %.0f%%", p.X, 100*math.Abs(ry-p.Y)/p.Y))
 		}
 	}
+	bad = append(bad, checkRuns("fig6", f)...)
 	bad = append(bad, checkRanks("fig6", ranks)...)
 	return bad
 }
@@ -203,6 +204,7 @@ func CheckFig7(f Figure, ranks map[string][]float64) []string {
 		bad = append(bad, fmt.Sprintf("fig7: RDMA advantage shrinks with nodes (%.0f%% -> %.0f%%)",
 			gaps[0]*100, gaps[len(gaps)-1]*100))
 	}
+	bad = append(bad, checkRuns("fig7", f)...)
 	bad = append(bad, checkRanks("fig7", ranks)...)
 	return bad
 }
@@ -300,6 +302,20 @@ func checkChaosSpark(name string, pts []ChaosPoint) []string {
 	return bad
 }
 
+// checkRuns reports every point of a PageRank figure whose run failed:
+// the other checks skip such a point, so it must not pass silently.
+func checkRuns(fig string, f Figure) []string {
+	var bad []string
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			if !p.OK {
+				bad = append(bad, fmt.Sprintf("%s: %s run at %g nodes failed", fig, s.Name, p.X))
+			}
+		}
+	}
+	return bad
+}
+
 // checkRanks verifies every framework's final PageRank vector against the
 // serial oracle.
 func checkRanks(fig string, ranks map[string][]float64) []string {
@@ -309,7 +325,7 @@ func checkRanks(fig string, ranks map[string][]float64) []string {
 		return []string{fig + ": missing serial PageRank reference"}
 	}
 	for name, rs := range ranks {
-		if name == "Serial" || rs == nil {
+		if name == "Serial" {
 			continue
 		}
 		if len(rs) != len(ref) {

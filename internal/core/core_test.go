@@ -607,3 +607,61 @@ func TestAblationConverged(t *testing.T) {
 		t.Errorf("converged model (%.4fs) not well below Spark (%.4fs)", rdaT, sparkT)
 	}
 }
+
+// TestCheckPageRankFailedRuns: a PageRank run that failed leaves its
+// point OK=false and its rank vector nil. Every other Fig 6/7 check skips
+// such a point, so CheckFig6 and CheckFig7 must report it themselves.
+func TestCheckPageRankFailedRuns(t *testing.T) {
+	series := func(name string, ys ...float64) Series {
+		s := Series{Name: name}
+		for i, y := range ys {
+			s.Points = append(s.Points, Point{X: float64(2 * (i + 1)), Y: y, OK: true})
+		}
+		return s
+	}
+	vec := []float64{0.25, 0.75}
+	fig6 := Figure{ID: "fig6", Series: []Series{series("MPI", 1, 1), series("Spark", 10, 6), series("Spark-RDMA", 10, 6)}}
+	fig7 := Figure{ID: "fig7", Series: []Series{series("Spark", 10, 8), series("Spark-RDMA", 8, 6)}}
+	ranks := func(names ...string) map[string][]float64 {
+		m := map[string][]float64{"Serial": vec}
+		for _, n := range names {
+			m[n] = vec
+		}
+		return m
+	}
+	// failed marks the named series' last point as a failed run.
+	failed := func(f Figure, name string) Figure {
+		g := Figure{ID: f.ID}
+		for _, s := range f.Series {
+			s.Points = append([]Point(nil), s.Points...)
+			if s.Name == name {
+				s.Points[len(s.Points)-1].OK = false
+			}
+			g.Series = append(g.Series, s)
+		}
+		return g
+	}
+	without := func(m map[string][]float64, name string) map[string][]float64 {
+		m[name] = nil
+		return m
+	}
+	for _, c := range []struct {
+		name  string
+		check func(Figure, map[string][]float64) []string
+		fig   Figure
+		ranks map[string][]float64
+		bad   bool
+	}{
+		{"fig6 ok", CheckFig6, fig6, ranks("MPI", "Spark", "Spark-RDMA"), false},
+		{"fig6 failed Spark run", CheckFig6, failed(fig6, "Spark"), without(ranks("MPI", "Spark", "Spark-RDMA"), "Spark"), true},
+		{"fig6 failed MPI run", CheckFig6, failed(fig6, "MPI"), ranks("MPI", "Spark", "Spark-RDMA"), true},
+		{"fig6 nil MPI ranks", CheckFig6, fig6, without(ranks("MPI", "Spark", "Spark-RDMA"), "MPI"), true},
+		{"fig7 ok", CheckFig7, fig7, ranks("Spark", "Spark-RDMA"), false},
+		{"fig7 failed RDMA run", CheckFig7, failed(fig7, "Spark-RDMA"), without(ranks("Spark", "Spark-RDMA"), "Spark-RDMA"), true},
+		{"fig7 nil Spark ranks", CheckFig7, fig7, without(ranks("Spark", "Spark-RDMA"), "Spark"), true},
+	} {
+		if got := c.check(c.fig, c.ranks); (len(got) > 0) != c.bad {
+			t.Errorf("%s: violations %q, want some: %v", c.name, got, c.bad)
+		}
+	}
+}

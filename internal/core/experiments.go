@@ -83,23 +83,22 @@ func Fig3Extended(o Options) Figure {
 
 // Table2 reproduces the parallel file read microbenchmark (Table II):
 // execution time to read (and count) a file via Spark-on-DFS, Spark on
-// local scratch, and MPI-IO on local scratch.
-func Table2(o Options) Table {
+// local scratch, and MPI-IO on local scratch. It returns the table and
+// the Table2Values cells it formats.
+func Table2(o Options) (Table, [][3]float64) {
+	vals := Table2Values(o)
 	t := Table{
 		ID:      "table2",
 		Title:   "Parallel file read microbenchmark",
 		Columns: []string{"File size", "Spark on HDFS (scratch fs)", "Spark on local scratch fs", "MPI (scratch fs)"},
 	}
-	for _, size := range o.FileReadSizes {
-		hdfs := sparkDFSRead(o, size)
-		local := sparkLocalRead(o, size)
-		mpiT := mpiLocalRead(o, size)
+	for i, size := range o.FileReadSizes {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f GB", float64(size)/1e9),
-			fmtSeconds(hdfs), fmtSeconds(local), fmtSeconds(mpiT),
+			fmtSeconds(vals[i][0]), fmtSeconds(vals[i][1]), fmtSeconds(vals[i][2]),
 		})
 	}
-	return t
+	return t, vals
 }
 
 // Table2Values returns the Table II cells numerically (seconds), ordered

@@ -1,69 +1,47 @@
-// Package profiling wires the standard -cpuprofile/-memprofile flags
-// into the figure-regeneration CLIs, so a regeneration run can be fed
-// straight to `go tool pprof` without hand-rolling the boilerplate in
-// every command.
+// Package profiling writes the standard CPU and allocation profiles of
+// a regeneration run, so it can be fed straight to `go tool pprof`.
 package profiling
 
 import (
-	"flag"
-	"fmt"
+	"errors"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-var (
-	cpuprofile *string
-	memprofile *string
-	cpuFile    *os.File
-)
-
-// Flags registers -cpuprofile and -memprofile on the default flag set.
-// Call before flag.Parse.
-func Flags() {
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+// Start begins CPU profiling into cpu and arranges an allocation
+// profile into mem; an empty path skips that profile. Call the returned
+// stop once the run is over.
+func Start(cpu, mem string) (stop func() error, err error) {
+	var f *os.File
+	if cpu != "" {
+		if f, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if f != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, f.Close())
+		}
+		if mem != "" {
+			errs = append(errs, writeAllocs(mem))
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
-// Start begins CPU profiling if requested. Call after flag.Parse; pair
-// with a deferred Stop.
-func Start() {
-	if *cpuprofile == "" {
-		return
-	}
-	f, err := os.Create(*cpuprofile)
+func writeAllocs(path string) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		fatal(err)
-	}
-	cpuFile = f
-}
-
-// Stop finishes the CPU profile and writes the allocation profile, if
-// either was requested.
-func Stop() {
-	if cpuFile != nil {
-		pprof.StopCPUProfile()
-		cpuFile.Close()
-		cpuFile = nil
-	}
-	if *memprofile == "" {
-		return
-	}
-	f, err := os.Create(*memprofile)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
 	runtime.GC() // settle the heap so the profile reflects live + cumulative allocs accurately
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "profiling:", err)
-	os.Exit(1)
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
+	return errors.Join(err, f.Close())
 }

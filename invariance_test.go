@@ -7,15 +7,16 @@ package hpcbd
 // order sweep points finish and how many kernel events a charge costs,
 // never the committed event order, timestamps or RNG draws.
 //
-// The suite is a matrix: the columns are artifacts, each with a serial
-// reference computed once per test binary; the rows are host
-// configurations. Each test below is one cell group — an artifact
+// The suite is a matrix: the columns are core.Artifacts() entries, each
+// with a serial reference computed once per test binary; the rows are
+// host configurations. Each test below is one cell group — an artifact
 // checked on a set of rows.
 
 import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,86 +59,48 @@ func (h host) run(fn func()) {
 
 var pool8 = host{pool: 8}
 
-// artifact is one column: an output at core.Quick() scale and how two
-// of its results are compared.
-type artifact struct {
-	name  string
-	slow  bool // skipped under -short
-	run   func(core.Options) any
-	check func(ref, got any) []string
-	ref   any // the serial reference, computed on first use
-}
+// refs holds each column's serial reference, by artifact name.
+var refs = map[string]any{}
 
-// figure is an artifact compared with reflect.DeepEqual.
-func figure(name string, run func(core.Options) any) *artifact {
-	return &artifact{name: name, run: run, check: func(ref, got any) []string {
-		if !reflect.DeepEqual(ref, got) {
-			return []string{"differs from the serial reference"}
-		}
-		return nil
-	}}
-}
-
-// sweep is an artifact compared with its own Check*Sweep(ref, got),
-// which asserts bit-identity and the sweep's shapes on both results.
-func sweep[R any](name string, slow bool, run func(core.Options) R, check func(a, b R) []string) *artifact {
-	return &artifact{name: name, slow: slow,
-		run:   func(o core.Options) any { return run(o) },
-		check: func(ref, got any) []string { return check(ref.(R), got.(R)) },
-	}
-}
-
-var (
-	fig3 = figure("Fig3", func(o core.Options) any { return core.Fig3(o) })
-	fig4 = figure("Fig4", func(o core.Options) any { f, res := core.Fig4(o); return []any{f, res} })
-	fig6 = figure("Fig6", func(o core.Options) any { f, ranks := core.Fig6(o); return []any{f, ranks} })
-	fig7 = figure("Fig7", func(o core.Options) any { f, ranks := core.Fig7(o); return []any{f, ranks} })
-
-	masterSweep    = sweep("master sweep", false, core.MasterSweep, core.CheckMasterSweep)
-	tailSweep      = sweep("tail sweep", true, core.TailSweep, core.CheckTailSweep)
-	overloadSweep  = sweep("overload sweep", true, core.OverloadSweep, core.CheckOverloadSweep)
-	partitionSweep = sweep("partition sweep", true, core.PartitionSweep, core.CheckPartitionSweep)
-	transportSweep = sweep("transport sweep", true, core.TransportSweep, core.CheckTransportSweep)
-)
-
-// on checks the artifact on every row against its serial reference.
-func (a *artifact) on(t *testing.T, rows ...host) {
+// invariant checks the named core.Artifacts() entry at core.Quick() on
+// every row against its serial reference, compared with
+// reflect.DeepEqual. The sweeps' pool row runs in TestArtifacts, under
+// their own Check*Sweep(serial, pool 8).
+func invariant(t *testing.T, name string, rows ...host) {
 	t.Helper()
-	if a.slow && testing.Short() {
-		t.Skipf("%s is slow; run without -short", a.name)
+	arts := core.Artifacts()
+	i := slices.IndexFunc(arts, func(a core.Artifact) bool { return a.Name == name })
+	if i < 0 {
+		t.Fatalf("no artifact %q", name)
 	}
-	o := core.Quick()
-	if a.ref == nil {
-		serialHost.run(func() { a.ref = a.run(o) })
+	a, o := arts[i], core.Quick()
+	ref, ok := refs[name]
+	if !ok {
+		serialHost.run(func() { ref = a.Run(o) })
+		refs[name] = ref
 	}
 	for _, h := range rows {
 		var got any
-		h.run(func() { got = a.run(o) })
-		for _, v := range a.check(a.ref, got) {
-			t.Errorf("%s on %+v: %s", a.name, h, v)
+		h.run(func() { got = a.Run(o) })
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("%s on %+v: differs from the serial reference", name, h)
 		}
 	}
 }
 
-func TestFig3PoolInvariance(t *testing.T) { fig3.on(t, pool8) }
+func TestFig3PoolInvariance(t *testing.T) { invariant(t, "fig3", pool8) }
 
-func TestFig4PoolInvariance(t *testing.T) { fig4.on(t, pool8) }
+func TestFig4PoolInvariance(t *testing.T) { invariant(t, "fig4", pool8) }
 
 // The width rows run Fig 6 and 7's per-run jobs four at a time against
 // one at a time in the reference: assembly by completion order would
 // show up as a difference.
-func TestFig6PoolInvariance(t *testing.T)  { fig6.on(t, pool8) }
-func TestFig6WidthInvariance(t *testing.T) { fig6.on(t, host{width: 4}) }
+func TestFig6PoolInvariance(t *testing.T)  { invariant(t, "fig6", pool8) }
+func TestFig6WidthInvariance(t *testing.T) { invariant(t, "fig6", host{width: 4}) }
 
-func TestFig7PoolInvariance(t *testing.T)   { fig7.on(t, pool8) }
-func TestFig7WidthInvariance(t *testing.T)  { fig7.on(t, host{width: 4}) }
-func TestFig7FusionInvariance(t *testing.T) { fig7.on(t, host{unfused: true}) }
-
-func TestMasterSweepPoolInvariance(t *testing.T)    { masterSweep.on(t, pool8) }
-func TestTailSweepPoolInvariance(t *testing.T)      { tailSweep.on(t, pool8) }
-func TestOverloadSweepPoolInvariance(t *testing.T)  { overloadSweep.on(t, pool8) }
-func TestPartitionSweepPoolInvariance(t *testing.T) { partitionSweep.on(t, pool8) }
-func TestTransportSweepPoolInvariance(t *testing.T) { transportSweep.on(t, pool8) }
+func TestFig7PoolInvariance(t *testing.T)   { invariant(t, "fig7", pool8) }
+func TestFig7WidthInvariance(t *testing.T)  { invariant(t, "fig7", host{width: 4}) }
+func TestFig7FusionInvariance(t *testing.T) { invariant(t, "fig7", host{unfused: true}) }
 
 // The sweeps build one-shard, serial-dispatch clusters, so the worker
 // rows of the master and overload sweeps run their plain-MPI arms on
