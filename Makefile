@@ -28,7 +28,6 @@ test:
 # lossy network, master kills, split-brain partitions, gray-node tails,
 # resource-exhaustion overload).
 SWEEPS := chaos transport master partition tail overload
-SWEEP_RE := $(shell echo $(SWEEPS) | tr ' ' '|')
 
 # Builds hpcbd and every example once into $(SMOKE_BIN)/ and runs every
 # hpcbd artifact but the sweeps (those run under `make chaos`) with
@@ -52,12 +51,10 @@ smoke:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/... ./internal/mpi/...
-	# The experiment suite in full, twice: ScaleSweep's sharded points open
-	# parallel dispatch windows. Then both runs of every sweep, twice,
-	# without the full-scale figures: sweep points run concurrently under
-	# exec.ForEach, so the race detector sees them.
+	# The experiment suite in full, twice: sweep points run concurrently
+	# under exec.ForEach, and ScaleSweep's sharded points open parallel
+	# dispatch windows, so the race detector sees both.
 	$(GO) test -race -count=2 ./internal/core/...
-	$(GO) test -race -count=2 -run 'TestArtifacts/($(SWEEP_RE))$$' .
 
 # Every fault-injection sweep at test scale, each run twice for its
 # determinism and shape checks.

@@ -6,9 +6,10 @@ package hpcbd
 //   - a pinned table or figure renders once at its golden scale (Full);
 //     its renderings must match testdata/golden.sum and the same result
 //     must pass its shape check;
-//   - a sweep renders twice at Quick, on the serial host and at pool 8;
-//     the first run is digested, and its Check*Sweep(first, second)
-//     checks determinism, shape and pool invariance in one pass;
+//   - a sweep renders once at Quick on the serial host, as the serial
+//     reference its Test*SweepPoolInvariance cell reuses; that run is
+//     digested and shape-checked here, and the cell's pool 8 run checks
+//     determinism and pool invariance against it;
 //   - an unpinned entry (table1, fig3-shmem, persist, scale, the stack
 //     ablations) is skipped: internal/core's tests and cmd/hpcbd's
 //     cover it at test scale.
@@ -25,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -56,8 +58,11 @@ func TestArtifacts(t *testing.T) {
 			o := a.Scale()
 			var first, second any
 			if a.Pair {
-				serialHost.run(func() { first = a.Run(o) })
-				pool8.run(func() { second = a.Run(o) })
+				if !reflect.DeepEqual(o, core.Quick()) {
+					t.Fatal("a sweep is pinned at Quick, the scale of its serial reference")
+				}
+				first = reference(a)
+				second = first
 			} else {
 				first = a.Run(o)
 			}

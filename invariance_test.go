@@ -62,10 +62,22 @@ var pool8 = host{pool: 8}
 // refs holds each column's serial reference, by artifact name.
 var refs = map[string]any{}
 
+// reference returns a's serial reference: its run at core.Quick() on the
+// serial host, rendered on first use. TestArtifacts digests a sweep's
+// reference, so a sweep renders it once per test binary.
+func reference(a core.Artifact) any {
+	ref, ok := refs[a.Name]
+	if !ok {
+		serialHost.run(func() { ref = a.Run(core.Quick()) })
+		refs[a.Name] = ref
+	}
+	return ref
+}
+
 // invariant checks the named core.Artifacts() entry at core.Quick() on
-// every row against its serial reference, compared with
-// reflect.DeepEqual. The sweeps' pool row runs in TestArtifacts, under
-// their own Check*Sweep(serial, pool 8).
+// every row against its serial reference: a sweep with its own
+// Check*Sweep(ref, got), which asserts bit-identity and the sweep's
+// shapes on both results, anything else with reflect.DeepEqual.
 func invariant(t *testing.T, name string, rows ...host) {
 	t.Helper()
 	arts := core.Artifacts()
@@ -73,16 +85,19 @@ func invariant(t *testing.T, name string, rows ...host) {
 	if i < 0 {
 		t.Fatalf("no artifact %q", name)
 	}
-	a, o := arts[i], core.Quick()
-	ref, ok := refs[name]
-	if !ok {
-		serialHost.run(func() { ref = a.Run(o) })
-		refs[name] = ref
+	a := arts[i]
+	if a.Slow && testing.Short() {
+		t.Skipf("%s is slow; run without -short", name)
 	}
+	ref := reference(a)
 	for _, h := range rows {
 		var got any
-		h.run(func() { got = a.Run(o) })
-		if !reflect.DeepEqual(ref, got) {
+		h.run(func() { got = a.Run(core.Quick()) })
+		if a.Pair {
+			for _, v := range a.Check(ref, got) {
+				t.Errorf("%s on %+v: %s", name, h, v)
+			}
+		} else if !reflect.DeepEqual(ref, got) {
 			t.Errorf("%s on %+v: differs from the serial reference", name, h)
 		}
 	}
@@ -101,6 +116,13 @@ func TestFig6WidthInvariance(t *testing.T) { invariant(t, "fig6", host{width: 4}
 func TestFig7PoolInvariance(t *testing.T)   { invariant(t, "fig7", pool8) }
 func TestFig7WidthInvariance(t *testing.T)  { invariant(t, "fig7", host{width: 4}) }
 func TestFig7FusionInvariance(t *testing.T) { invariant(t, "fig7", host{unfused: true}) }
+
+func TestChaosSweepPoolInvariance(t *testing.T)     { invariant(t, "chaos", pool8) }
+func TestTransportSweepPoolInvariance(t *testing.T) { invariant(t, "transport", pool8) }
+func TestMasterSweepPoolInvariance(t *testing.T)    { invariant(t, "master", pool8) }
+func TestPartitionSweepPoolInvariance(t *testing.T) { invariant(t, "partition", pool8) }
+func TestTailSweepPoolInvariance(t *testing.T)      { invariant(t, "tail", pool8) }
+func TestOverloadSweepPoolInvariance(t *testing.T)  { invariant(t, "overload", pool8) }
 
 // The sweeps build one-shard, serial-dispatch clusters, so the worker
 // rows of the master and overload sweeps run their plain-MPI arms on
