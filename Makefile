@@ -97,13 +97,15 @@ ledger:
 ledger-test:
 	cd ledger && $(GO) test -short ./...
 
-# Host CPU and allocation profiles of the full-scale PageRank and
-# AnswersCount regenerations — the starting point for perf work.
+# Host CPU and allocation profiles of the full-scale PageRank (Fig 6/7),
+# AnswersCount (Fig 4) and reduce microbenchmark (Fig 3) regenerations —
+# the starting point for perf work.
 # Inspect with: $(GO) tool pprof profiles/pagerank.cpu.pprof
 profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/hpcbd -cpuprofile profiles/pagerank.cpu.pprof -memprofile profiles/pagerank.mem.pprof fig6 fig7
 	$(GO) run ./cmd/hpcbd -cpuprofile profiles/answerscount.cpu.pprof -memprofile profiles/answerscount.mem.pprof fig4
+	$(GO) run ./cmd/hpcbd -cpuprofile profiles/reduce.cpu.pprof -memprofile profiles/reduce.mem.pprof fig3
 	@echo "profiles written to profiles/"
 
 # The six fault-injection sweeps at paper scale.

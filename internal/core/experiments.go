@@ -34,7 +34,9 @@ func Table1() Table {
 
 // Fig3 reproduces the reduce microbenchmark (Fig 3): reduce latency vs
 // message size for MPI, Spark and Spark-RDMA on ReduceNodes x ReducePPN
-// processes. It runs serially: the 1 MiB MPI reduce alone peaks near 640 MB RSS.
+// processes. Every (size, series) point is its own job on its own cluster,
+// run largest MPI message first, and the figure is assembled by index, so
+// it is identical at any host parallelism.
 func Fig3(o Options) Figure {
 	fig := Figure{
 		ID:     "fig3",
@@ -45,20 +47,28 @@ func Fig3(o Options) Figure {
 		Series: []Series{{Name: "MPI"}, {Name: "Spark"}, {Name: "Spark-RDMA"}},
 	}
 	np := o.ReduceNodes * o.ReducePPN
-	for _, size := range o.ReduceSizes {
-		elems := int(size / 4) // float32 elements
-		if elems < 1 {
-			elems = 1
-		}
-		mpiLat := MPIReduceLatency(newCluster(o.Seed, o.ReduceNodes), np, o.ReducePPN, elems, o.ReduceIters)
+	lat := make([][3]float64, len(o.ReduceSizes))
+	var jobs []job
+	for i, size := range o.ReduceSizes {
+		elems := max(int(size/4), 1) // float32 elements
 		// Spark reduces number_of_processes x array_size elements (Fig 2).
 		logical := np * elems
-		sparkLat := SparkReduceLatency(newCluster(o.Seed, o.ReduceNodes), o.ReduceNodes, o.ReducePPN, logical, o.ReduceMaxPhys, o.ReduceIters, false)
-		rdmaLat := SparkReduceLatency(newCluster(o.Seed, o.ReduceNodes), o.ReduceNodes, o.ReducePPN, logical, o.ReduceMaxPhys, o.ReduceIters, true)
-		x := float64(size)
-		fig.Series[0].Points = append(fig.Series[0].Points, Point{X: x, Y: mpiLat, OK: true})
-		fig.Series[1].Points = append(fig.Series[1].Points, Point{X: x, Y: sparkLat, OK: true})
-		fig.Series[2].Points = append(fig.Series[2].Points, Point{X: x, Y: rdmaLat, OK: true})
+		jobs = append(jobs,
+			job{elems, func() {
+				lat[i][0] = MPIReduceLatency(newCluster(o.Seed, o.ReduceNodes), np, o.ReducePPN, elems, o.ReduceIters)
+			}},
+			job{0, func() {
+				lat[i][1] = SparkReduceLatency(newCluster(o.Seed, o.ReduceNodes), o.ReduceNodes, o.ReducePPN, logical, o.ReduceMaxPhys, o.ReduceIters, false)
+			}},
+			job{0, func() {
+				lat[i][2] = SparkReduceLatency(newCluster(o.Seed, o.ReduceNodes), o.ReduceNodes, o.ReducePPN, logical, o.ReduceMaxPhys, o.ReduceIters, true)
+			}})
+	}
+	runLargestFirst(jobs)
+	for i, size := range o.ReduceSizes {
+		for s := range fig.Series {
+			fig.Series[s].Points = append(fig.Series[s].Points, Point{X: float64(size), Y: lat[i][s], OK: true})
+		}
 	}
 	return fig
 }

@@ -14,17 +14,19 @@ func newGraph(o Options) *workload.Graph {
 	return workload.NewGraph(o.Seed, o.PRPhysVertices, o.PRLogicalVertices, o.PRAvgDegree)
 }
 
-// job is one independent simulation run on a cluster of the given size.
+// job is one independent simulation run. size orders jobs by expected
+// cost: the node count for PageRank, the element count for Fig 3's MPI
+// runs, 0 for its Spark runs.
 type job struct {
-	nodes int
-	run   func()
+	size int
+	run  func()
 }
 
 // runLargestFirst runs the jobs concurrently on exec.ForEach, largest
-// cluster first, so the longest runs start while shorter ones remain to
-// overlap them. Each job must write only its own result slot.
+// first, so the longest runs start while shorter ones remain to overlap
+// them. Each job must write only its own result slot.
 func runLargestFirst(jobs []job) {
-	slices.SortStableFunc(jobs, func(a, b job) int { return b.nodes - a.nodes })
+	slices.SortStableFunc(jobs, func(a, b job) int { return b.size - a.size })
 	exec.ForEach(len(jobs), func(i int) { jobs[i].run() })
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"time"
 
 	"hpcbd/internal/scratch"
@@ -21,25 +22,46 @@ const (
 	tagGatherv = 11 << 28
 )
 
-// ReduceOp combines two float64 values.
-type ReduceOp func(a, b float64) float64
+// ReduceOp is an element-wise reduction operator.
+type ReduceOp uint8
 
 // Predefined reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 {
+const (
+	OpSum ReduceOp = iota
+	OpMax
+	OpMin
+)
+
+// Apply combines a and b under op.
+func (op ReduceOp) Apply(a, b float64) float64 {
+	switch op {
+	case OpSum:
+		return a + b
+	case OpMax:
 		if a > b {
 			return a
 		}
 		return b
-	}
-	OpMin ReduceOp = func(a, b float64) float64 {
+	case OpMin:
 		if a < b {
 			return a
 		}
 		return b
 	}
-)
+	panic("mpi: unknown ReduceOp")
+}
+
+// Identity returns op's identity element: what a rank holding no
+// elements contributes.
+func (op ReduceOp) Identity() float64 {
+	switch op {
+	case OpMax:
+		return math.Inf(-1)
+	case OpMin:
+		return math.Inf(1)
+	}
+	return 0
+}
 
 // Barrier blocks until every rank of the communicator has entered, using
 // the dissemination algorithm: ceil(log2 n) rounds of small messages.
@@ -109,32 +131,40 @@ func (c *Comm) Reduce(r *Rank, root int, data []float64, op ReduceOp, elemBytes 
 	rel := (me - root + n) % n
 	bytes := int64(len(data)) * elemBytes
 
-	// Only the root's accumulator outlives the call; everyone else's
-	// leaves with its message and is recycled by the rank that combines it.
-	var acc []float64
-	var accp *[]float64
-	if me == root {
-		acc = make([]float64, len(data))
-		copy(acc, data)
-	} else {
-		accp = snapshot(data)
-		acc = *accp
-	}
-	cm := r.cost()
-
+	// Only leaves snapshot their input. A combining rank folds data into
+	// the first snapshot it receives and keeps that as its accumulator.
+	var acc *[]float64
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
 			// Send accumulator to the partner below and exit.
-			c.Send(r, ((rel-mask)+root)%n, tagReduce+mask, accp, bytes)
+			if acc == nil {
+				acc = snapshot(data)
+			}
+			c.Send(r, ((rel-mask)+root)%n, tagReduce+mask, acc, bytes)
 			return nil
 		}
 		partner := rel | mask
 		if partner < n {
 			m := c.Recv(r, (partner+root)%n, tagReduce+mask)
-			combine(r, acc, m.Payload.(*[]float64), op, cm.ReduceFlopTime)
+			in := m.Payload.(*[]float64)
+			if acc == nil {
+				fold(*in, data, *in, op)
+				r.p.Sleep(time.Duration(len(data)) * r.cost().ReduceFlopTime)
+				acc = in
+			} else {
+				combine(r, *acc, in, op)
+			}
 		}
 	}
-	return acc // rel == 0: only the root never sends
+	if acc == nil { // n == 1
+		return append([]float64(nil), data...)
+	}
+	// rel == 0: only the root never sends. It returns an exact-size copy
+	// and recycles its accumulator, which may be a far larger pooled
+	// buffer than the result needs.
+	out := append([]float64(nil), *acc...)
+	scratch.PutF64(acc)
+	return out
 }
 
 // Payloads travel by reference in the simulator, so what a reduction
@@ -150,14 +180,26 @@ func snapshot(v []float64) *[]float64 {
 	return p
 }
 
-// combine folds a received snapshot into acc element-wise (acc = op(acc,
-// other)), charges the arithmetic to the rank and recycles the snapshot.
-func combine(r *Rank, acc []float64, other *[]float64, op ReduceOp, flop time.Duration) {
-	for i, v := range *other {
-		acc[i] = op(acc[i], v)
+// fold sets dst[i] = op(a[i], b[i]); dst may alias a or b.
+func fold(dst, a, b []float64, op ReduceOp) {
+	if op == OpSum {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for i := range dst {
+			dst[i] = a[i] + b[i]
+		}
+	} else {
+		for i := range dst {
+			dst[i] = op.Apply(a[i], b[i])
+		}
 	}
+}
+
+// combine folds a received snapshot into acc element-wise (acc = op(acc,
+// other)), recycles the snapshot and charges the arithmetic to the rank.
+func combine(r *Rank, acc []float64, other *[]float64, op ReduceOp) {
+	fold(acc, acc, *other, op)
 	scratch.PutF64(other)
-	r.p.Sleep(time.Duration(len(acc)) * flop)
+	r.p.Sleep(time.Duration(len(acc)) * r.cost().ReduceFlopTime)
 }
 
 // Allreduce combines data across all ranks and returns the result
@@ -188,7 +230,6 @@ func (c *Comm) rdAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64
 	n := c.Size()
 	me := c.rankOf(r)
 	bytes := int64(len(data)) * elemBytes
-	cm := r.cost()
 
 	acc := make([]float64, len(data))
 	copy(acc, data)
@@ -207,14 +248,14 @@ func (c *Comm) rdAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64
 		newRank = -1
 	} else if me < rem {
 		m := c.Recv(r, me+pof2, tagReduce)
-		combine(r, acc, m.Payload.(*[]float64), op, cm.ReduceFlopTime)
+		combine(r, acc, m.Payload.(*[]float64), op)
 	}
 
 	if newRank >= 0 {
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := newRank ^ mask
 			m := c.Sendrecv(r, partner, tagReduce+mask, snapshot(acc), bytes, partner, tagReduce+mask)
-			combine(r, acc, m.Payload.(*[]float64), op, cm.ReduceFlopTime)
+			combine(r, acc, m.Payload.(*[]float64), op)
 		}
 	}
 
@@ -235,7 +276,6 @@ func (c *Comm) rdAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64
 func (c *Comm) ringAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64) []float64 {
 	n := c.Size()
 	me := c.rankOf(r)
-	cm := r.cost()
 
 	acc := make([]float64, len(data))
 	copy(acc, data)
@@ -256,7 +296,7 @@ func (c *Comm) ringAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int
 		sendIdx := (me - step + n) % n
 		recvIdx := (me - step - 1 + n) % n
 		m := c.Sendrecv(r, next, tagRing+step, snapshot(chunk(sendIdx)), chunkBytes(sendIdx), prev, tagRing+step)
-		combine(r, chunk(recvIdx), m.Payload.(*[]float64), op, cm.ReduceFlopTime)
+		combine(r, chunk(recvIdx), m.Payload.(*[]float64), op)
 	}
 	// Allgather.
 	for step := 0; step < n-1; step++ {
@@ -370,17 +410,13 @@ func (c *Comm) Scan(r *Rank, data []float64, op ReduceOp, elemBytes int64) []flo
 	n := c.Size()
 	me := c.rankOf(r)
 	bytes := int64(len(data)) * elemBytes
-	cm := r.cost()
 
 	acc := make([]float64, len(data))
 	copy(acc, data)
 	if me > 0 {
 		m := c.Recv(r, me-1, tagScan)
-		prev := m.Payload.([]float64)
-		for i := range acc {
-			acc[i] = op(prev[i], acc[i])
-		}
-		r.p.Sleep(time.Duration(len(acc)) * cm.ReduceFlopTime)
+		fold(acc, m.Payload.([]float64), acc, op)
+		r.p.Sleep(time.Duration(len(acc)) * r.cost().ReduceFlopTime)
 	}
 	if me < n-1 {
 		c.Send(r, me+1, tagScan, append([]float64(nil), acc...), bytes)
@@ -395,7 +431,6 @@ func (c *Comm) Exscan(r *Rank, data []float64, op ReduceOp, elemBytes int64) []f
 	n := c.Size()
 	me := c.rankOf(r)
 	bytes := int64(len(data)) * elemBytes
-	cm := r.cost()
 
 	var before []float64
 	if me > 0 {
@@ -409,10 +444,8 @@ func (c *Comm) Exscan(r *Rank, data []float64, op ReduceOp, elemBytes int64) []f
 		if me == 0 {
 			copy(send, data)
 		} else {
-			for i := range send {
-				send[i] = op(before[i], data[i])
-			}
-			r.p.Sleep(time.Duration(len(send)) * cm.ReduceFlopTime)
+			fold(send, before, data, op)
+			r.p.Sleep(time.Duration(len(send)) * r.cost().ReduceFlopTime)
 		}
 		c.Send(r, me+1, tagExscan, send, bytes)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,30 +159,67 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 	}
 }
 
+// TestReduceMatchesSerial checks Reduce at every root and every op
+// against a serial fold, bit for bit: max and min over random floats, sum
+// over integer-valued floats (exact in any order). Every rank's input must
+// be untouched, and the root's result must own its memory: it aliases no
+// input and survives a second Reduce of other data on the same world.
 func TestReduceMatchesSerial(t *testing.T) {
-	for _, np := range []int{1, 2, 4, 7, 8} {
-		c := testCluster(np)
-		n := 64
-		var result []float64
-		Run(c, np, 1, func(r *Rank) {
-			data := make([]float64, n)
-			for i := range data {
-				data[i] = float64(r.Rank()*1000 + i)
+	const n = 33
+	for _, op := range []ReduceOp{OpSum, OpMax, OpMin} {
+		for _, np := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+			rng := rand.New(rand.NewSource(int64(np)*10 + int64(op)))
+			inputs := make([][]float64, np)
+			for rk := range inputs {
+				inputs[rk] = make([]float64, n)
+				for i := range inputs[rk] {
+					if op == OpSum {
+						inputs[rk][i] = float64(rng.Intn(2001) - 1000)
+					} else {
+						inputs[rk][i] = rng.NormFloat64()
+					}
+				}
 			}
-			out := r.World().Reduce(r, 0, data, OpSum, 4)
-			if r.Rank() == 0 {
-				result = out
-			} else if out != nil {
-				t.Errorf("non-root rank %d got non-nil reduce result", r.Rank())
+			want := append([]float64(nil), inputs[0]...)
+			for _, in := range inputs[1:] {
+				for i, v := range in {
+					want[i] = op.Apply(want[i], v)
+				}
 			}
-		})
-		for i := 0; i < n; i++ {
-			want := 0.0
-			for rk := 0; rk < np; rk++ {
-				want += float64(rk*1000 + i)
-			}
-			if math.Abs(result[i]-want) > 1e-9 {
-				t.Fatalf("np=%d elem %d: got %f want %f", np, i, result[i], want)
+			for root := 0; root < np; root++ {
+				data := make([][]float64, np)
+				for rk := range data {
+					data[rk] = append([]float64(nil), inputs[rk]...)
+				}
+				var first, kept []float64
+				Run(testCluster(np), np, 1, func(r *Rank) {
+					w := r.World()
+					out := w.Reduce(r, root, data[r.Rank()], op, 8)
+					if r.Rank() == root {
+						first = out
+						kept = append([]float64(nil), out...)
+					} else if out != nil {
+						t.Errorf("op=%d np=%d root=%d: rank %d got a non-nil result", op, np, root, r.Rank())
+					}
+					w.Barrier(r)
+					w.Reduce(r, root, make([]float64, n), op, 8)
+				})
+				for i := range want {
+					if math.Float64bits(first[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("op=%d np=%d root=%d elem %d: got %v want %v", op, np, root, i, first[i], want[i])
+					}
+				}
+				if !slices.Equal(first, kept) {
+					t.Errorf("op=%d np=%d root=%d: result changed by a second Reduce", op, np, root)
+				}
+				for rk := range data {
+					if !slices.Equal(data[rk], inputs[rk]) {
+						t.Errorf("op=%d np=%d root=%d: rank %d's data changed", op, np, root, rk)
+					}
+					if &data[rk][0] == &first[0] {
+						t.Errorf("op=%d np=%d root=%d: result aliases rank %d's data", op, np, root, rk)
+					}
+				}
 			}
 		}
 	}
@@ -189,26 +227,30 @@ func TestReduceMatchesSerial(t *testing.T) {
 
 func TestAllreduceBothAlgorithms(t *testing.T) {
 	// Small vector exercises recursive doubling; large exercises the ring.
-	for _, n := range []int{16, 64 << 10 / 8 * 4} { // 16 elems; >64KB at 8B/elem
-		for _, np := range []int{2, 3, 4, 6, 8} {
-			c := testCluster(np)
-			results := make([][]float64, np)
-			Run(c, np, 1, func(r *Rank) {
-				data := make([]float64, n)
-				for i := range data {
-					data[i] = float64(r.Rank() + i)
-				}
-				results[r.Rank()] = r.World().Allreduce(r, data, OpSum, 8)
-			})
-			for rk := 0; rk < np; rk++ {
-				for i := 0; i < n; i += n/4 + 1 {
-					want := 0.0
-					for s := 0; s < np; s++ {
-						want += float64(s + i)
+	// Integer-valued inputs keep sums exact in any order.
+	val := func(rank, i int) float64 { return float64((rank*7+i*13)%11 - 5) }
+	for _, op := range []ReduceOp{OpSum, OpMin} {
+		for _, n := range []int{16, 64 << 10 / 8 * 4} { // 16 elems; >64KB at 8B/elem
+			for _, np := range []int{2, 3, 4, 6, 8} {
+				c := testCluster(np)
+				results := make([][]float64, np)
+				Run(c, np, 1, func(r *Rank) {
+					data := make([]float64, n)
+					for i := range data {
+						data[i] = val(r.Rank(), i)
 					}
-					if math.Abs(results[rk][i]-want) > 1e-9 {
-						t.Fatalf("n=%d np=%d rank %d elem %d: got %f want %f",
-							n, np, rk, i, results[rk][i], want)
+					results[r.Rank()] = r.World().Allreduce(r, data, op, 8)
+				})
+				for rk := 0; rk < np; rk++ {
+					for i := 0; i < n; i += n/4 + 1 {
+						want := val(0, i)
+						for s := 1; s < np; s++ {
+							want = op.Apply(want, val(s, i))
+						}
+						if results[rk][i] != want {
+							t.Fatalf("op=%d n=%d np=%d rank %d elem %d: got %f want %f",
+								op, n, np, rk, i, results[rk][i], want)
+						}
 					}
 				}
 			}

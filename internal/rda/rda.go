@@ -285,13 +285,12 @@ func (a *Array) Local() []float64 {
 // result on every rank.
 func (a *Array) Reduce(op mpi.ReduceOp) float64 {
 	a.Materialize()
-	acc := 0.0
-	first := true
-	for _, v := range a.local {
-		if first {
-			acc, first = v, false
+	acc := op.Identity() // what an empty partition contributes
+	for i, v := range a.local {
+		if i == 0 {
+			acc = v
 		} else {
-			acc = op(acc, v)
+			acc = op.Apply(acc, v)
 		}
 	}
 	a.job.charge(len(a.local))

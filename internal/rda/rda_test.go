@@ -227,6 +227,33 @@ func TestReduceProperty(t *testing.T) {
 	}
 }
 
+// TestReduceEmptyPartitions reduces fewer elements than ranks, so some
+// partitions are empty; an empty rank must contribute the op's identity,
+// not 0.
+func TestReduceEmptyPartitions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   mpi.ReduceOp
+		vals []float64
+		want float64
+	}{
+		{"max", mpi.OpMax, []float64{-1, -2, -3}, -1},
+		{"min", mpi.OpMin, []float64{1, 2, 3}, 1},
+		{"sum", mpi.OpSum, []float64{-1, -2, -3}, -6},
+	} {
+		got := make([]float64, 4)
+		run(4, 2, len(tc.vals), func(j *Job) {
+			a := j.Generate("v", func(i int) float64 { return tc.vals[i] })
+			got[j.comm.Rank(j.r)] = a.Reduce(tc.op)
+		})
+		for rk, g := range got {
+			if g != tc.want {
+				t.Errorf("%s over %v: rank %d got %v, want %v", tc.name, tc.vals, rk, g, tc.want)
+			}
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	n := 256
 	c := cluster.Comet(sim.NewKernel(31), 2)

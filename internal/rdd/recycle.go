@@ -30,29 +30,25 @@ func poolOf[T any](ctx *Context) *[][]T {
 	return p
 }
 
-// takeBuf pops a retired buffer for reuse (nil when the list is empty).
-// Best fit: the smallest buffer already covering want, else the largest
-// available — a plain LIFO pop hands edge-sized buffers to node-sized
-// consumers of the same record type and vice versa, and the mis-sized
-// regrowth churn erases the benefit. The list stays short (at most the
-// in-flight partition count), so the scan is cheap. Kernel-side only.
+// takeBuf pops the smallest retired buffer that covers want, or returns
+// nil — leaving the list alone — when none does, so the caller allocates
+// at its own size. Handing out a smaller buffer instead (a plain LIFO pop,
+// or the largest available) gives an edge-sized consumer a vertex-sized
+// buffer it then regrows by doubling, and that regrowth churn erases the
+// benefit. The list stays short (at most the in-flight partition count
+// per size class), so the scan is cheap. Kernel-side only.
 func takeBuf[T any](ctx *Context, want int) []T {
 	p := poolOf[T](ctx)
-	n := len(*p)
-	if n == 0 {
-		return nil
-	}
-	best, bc := 0, cap((*p)[0])
-	for i := 1; i < n; i++ {
-		c := cap((*p)[i])
-		if bc >= want {
-			if c >= want && c < bc {
-				best, bc = i, c
-			}
-		} else if c > bc {
-			best, bc = i, c
+	best := -1
+	for i, b := range *p {
+		if c := cap(b); c >= want && (best < 0 || c < cap((*p)[best])) {
+			best = i
 		}
 	}
+	if best < 0 {
+		return nil
+	}
+	n := len(*p)
 	b := (*p)[best]
 	(*p)[best] = (*p)[n-1]
 	(*p)[n-1] = nil

@@ -103,13 +103,14 @@ func invariant(t *testing.T, name string, rows ...host) {
 	}
 }
 
-func TestFig3PoolInvariance(t *testing.T) { invariant(t, "fig3", pool8) }
+// The width rows run Fig 3, 6 and 7's per-run jobs four at a time against
+// one at a time in the reference: assembly by completion order would
+// show up as a difference.
+func TestFig3PoolInvariance(t *testing.T)  { invariant(t, "fig3", pool8) }
+func TestFig3WidthInvariance(t *testing.T) { invariant(t, "fig3", host{width: 4}) }
 
 func TestFig4PoolInvariance(t *testing.T) { invariant(t, "fig4", pool8) }
 
-// The width rows run Fig 6 and 7's per-run jobs four at a time against
-// one at a time in the reference: assembly by completion order would
-// show up as a difference.
 func TestFig6PoolInvariance(t *testing.T)  { invariant(t, "fig6", pool8) }
 func TestFig6WidthInvariance(t *testing.T) { invariant(t, "fig6", host{width: 4}) }
 
