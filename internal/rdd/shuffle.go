@@ -127,42 +127,9 @@ func fetchShuffle[K comparable, V any](tc *taskContext, shuffleID, reducePart in
 		if mo == nil || !ctx.executors[mo.exec].alive {
 			return nil, fetchFailure{shuffleID: shuffleID, mapPart: m}
 		}
-		b := mo.sizes[reducePart]
-		srcNode := ctx.executors[mo.exec].node
-		if b > 0 {
-			if ctx.Conf.HedgedFetch && srcNode != tc.exec.node && ctx.shuffleNet.Ejected(srcNode) {
-				// The source node was ejected as a latency outlier: treat it
-				// as Spark treats FetchFailed — deregister the output so
-				// lineage recomputes the map task on a healthy executor,
-				// instead of letting every reducer drain it at gray pace.
-				ss.outputs[m] = nil
-				ctx.FetchFailures++
-				return nil, fetchFailure{shuffleID: shuffleID, mapPart: m}
-			}
-			ctx.C.Node(srcNode).Scratch.Read(tc.p, b) // map-side spill read
-			if srcNode != tc.exec.node {
-				if ctx.Conf.HedgedFetch {
-					_, hedged, won, err := ctx.shuffleNet.SendHedged(tc.p, ctx.hedgeNet, srcNode, tc.exec.node, b)
-					if hedged {
-						ctx.HedgesSent++
-					}
-					if won {
-						ctx.HedgeWins++
-					}
-					if err != nil {
-						// Both channels failed: the output is effectively
-						// unreachable — deregister it so the recompute lands
-						// somewhere this reducer can actually fetch from.
-						ss.outputs[m] = nil
-						ctx.FetchFailures++
-						return nil, fetchFailure{shuffleID: shuffleID, mapPart: m}
-					}
-				} else if _, err := ctx.shuffleNet.Send(tc.p, srcNode, tc.exec.node, b); err != nil {
-					ctx.FetchFailures++
-					tc.p.Sleep(ctx.Conf.FetchRetryWait)
-					return nil, fetchFailure{shuffleID: shuffleID, mapPart: m}
-				}
-				ctx.ShuffleBytes += b
+		if b := mo.sizes[reducePart]; b > 0 {
+			if err := ctx.fetchOutput(tc.p, ss, m, mo, tc.exec.node, b); err != nil {
+				return nil, err
 			}
 			deserBytes += b
 		}
@@ -172,6 +139,50 @@ func fetchShuffle[K comparable, V any](tc *taskContext, shuffleID, reducePart in
 		tc.p.Charge(ctx.C.Cost.DeserTime(deserBytes))
 	}
 	return out, nil
+}
+
+// fetchOutput moves map output m's b > 0 bytes for one reducer to node
+// dst on proc p, the step both fetch paths take per map output. A source
+// node ejected as a latency outlier is treated as Spark treats
+// FetchFailed: the output is deregistered so lineage recomputes the map
+// task on a healthy executor, instead of letting every reducer drain it
+// at gray pace. Otherwise the map-side spill is read and, for a remote
+// source, the bytes cross the shuffle transport, hedged under
+// Conf.HedgedFetch. A failed fetch is returned as a fetchFailure.
+func (ctx *Context) fetchOutput(p *sim.Proc, ss *shuffleState, m int, mo *mapOutput, dst int, b int64) error {
+	srcNode := ctx.executors[mo.exec].node
+	if ctx.Conf.HedgedFetch && srcNode != dst && ctx.shuffleNet.Ejected(srcNode) {
+		ss.outputs[m] = nil
+		ctx.FetchFailures++
+		return fetchFailure{shuffleID: ss.id, mapPart: m}
+	}
+	ctx.C.Node(srcNode).Scratch.Read(p, b) // map-side spill read
+	if srcNode == dst {
+		return nil
+	}
+	if ctx.Conf.HedgedFetch {
+		_, hedged, won, err := ctx.shuffleNet.SendHedged(p, ctx.hedgeNet, srcNode, dst, b)
+		if hedged {
+			ctx.HedgesSent++
+		}
+		if won {
+			ctx.HedgeWins++
+		}
+		if err != nil {
+			// Both channels failed: the output is effectively unreachable —
+			// deregister it so the recompute lands somewhere this reducer
+			// can actually fetch from.
+			ss.outputs[m] = nil
+			ctx.FetchFailures++
+			return fetchFailure{shuffleID: ss.id, mapPart: m}
+		}
+	} else if _, err := ctx.shuffleNet.Send(p, srcNode, dst, b); err != nil {
+		ctx.FetchFailures++
+		p.Sleep(ctx.Conf.FetchRetryWait)
+		return fetchFailure{shuffleID: ss.id, mapPart: m}
+	}
+	ctx.ShuffleBytes += b
+	return nil
 }
 
 // fetchShuffleWindowed is the credit-based fetch used when
@@ -236,36 +247,8 @@ func fetchShuffleWindowed[K comparable, V any](tc *taskContext, shuffleID, reduc
 					return
 				}
 			}
-			srcNode := ctx.executors[mo.exec].node
-			if ctx.Conf.HedgedFetch && srcNode != tc.exec.node && ctx.shuffleNet.Ejected(srcNode) {
-				ss.outputs[m] = nil
-				ctx.FetchFailures++
-				errs[m] = fetchFailure{shuffleID: shuffleID, mapPart: m}
+			if errs[m] = ctx.fetchOutput(fp, ss, m, mo, tc.exec.node, b); errs[m] != nil {
 				return
-			}
-			ctx.C.Node(srcNode).Scratch.Read(fp, b) // map-side spill read
-			if srcNode != tc.exec.node {
-				if ctx.Conf.HedgedFetch {
-					_, hedged, won, err := ctx.shuffleNet.SendHedged(fp, ctx.hedgeNet, srcNode, tc.exec.node, b)
-					if hedged {
-						ctx.HedgesSent++
-					}
-					if won {
-						ctx.HedgeWins++
-					}
-					if err != nil {
-						ss.outputs[m] = nil
-						ctx.FetchFailures++
-						errs[m] = fetchFailure{shuffleID: shuffleID, mapPart: m}
-						return
-					}
-				} else if _, err := ctx.shuffleNet.Send(fp, srcNode, tc.exec.node, b); err != nil {
-					ctx.FetchFailures++
-					fp.Sleep(ctx.Conf.FetchRetryWait)
-					errs[m] = fetchFailure{shuffleID: shuffleID, mapPart: m}
-					return
-				}
-				ctx.ShuffleBytes += b
 			}
 			deserBytes += b
 			buckets[m] = mo.buckets.([][]KV[K, V])[reducePart]
