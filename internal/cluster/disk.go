@@ -75,7 +75,6 @@ type Disk struct {
 	bytesWritten int64
 	reads        int64
 	writes       int64
-	faultsHit    int64
 }
 
 // NewDisk creates a disk attached to the given kernel.
@@ -192,7 +191,6 @@ func (d *Disk) ReadChecked(p *sim.Proc, n int64, eff float64) error {
 	}
 	if d.pendingFaults > 0 {
 		d.pendingFaults--
-		d.faultsHit++
 		if eff <= 0 || eff > 1 {
 			eff = 1
 		}
@@ -216,9 +214,6 @@ func (d *Disk) SetScale(f float64) {
 // InjectReadFaults arms the next n ReadChecked calls to fail with
 // ErrDiskFault.
 func (d *Disk) InjectReadFaults(n int) { d.pendingFaults += n }
-
-// FaultsHit returns how many injected read faults have fired.
-func (d *Disk) FaultsHit() int64 { return d.faultsHit }
 
 func (d *Disk) stretch(t time.Duration) time.Duration {
 	if d.scale <= 0 || d.scale == 1 {

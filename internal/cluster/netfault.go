@@ -72,7 +72,7 @@ type netFaults struct {
 	// across runs with different rates, whatever the global interleaving.
 	pairSeq map[flowKey]int64
 
-	lost, corrupted, partitionDrops int64
+	partitionDrops int64
 }
 
 type flowKey struct {
@@ -125,14 +125,6 @@ func (c *Cluster) SetNodeMsgLoss(node int, rate float64) {
 	if node >= 0 && node < len(n.nodeLoss) {
 		n.nodeLoss[node] = clamp01(rate)
 	}
-}
-
-// NodeMsgLossRate returns node i's current loss floor.
-func (c *Cluster) NodeMsgLossRate(node int) float64 {
-	if c.net == nil || c.net.nodeLoss == nil || node < 0 || node >= len(c.net.nodeLoss) {
-		return 0
-	}
-	return c.net.nodeLoss[node]
 }
 
 // lossRateFor returns the effective loss probability for a src→dst
@@ -258,32 +250,15 @@ func (c *Cluster) FateOf(src, dst int, stream, seq int64, attempt int) MsgFate {
 		return FatePartitioned
 	}
 	if r := n.lossRateFor(src, dst); r > 0 && fateCoin(n.seed, 0x10c5, src, dst, stream, seq, attempt) < r {
-		n.lost++
 		return FateLost
 	}
 	if n.corruptRate > 0 && fateCoin(n.seed, 0xc042, src, dst, stream, seq, attempt) < n.corruptRate {
-		n.corrupted++
 		return FateCorrupt
 	}
 	return FateDeliver
 }
 
-// MsgsLost, MsgsCorrupted and PartitionDrops report what the fault model
-// actually did.
-func (c *Cluster) MsgsLost() int64 {
-	if c.net == nil {
-		return 0
-	}
-	return c.net.lost
-}
-
-func (c *Cluster) MsgsCorrupted() int64 {
-	if c.net == nil {
-		return 0
-	}
-	return c.net.corrupted
-}
-
+// PartitionDrops reports the attempts a network partition swallowed.
 func (c *Cluster) PartitionDrops() int64 {
 	if c.net == nil {
 		return 0

@@ -126,12 +126,6 @@ func (t *Thread) Compute(seconds float64) {
 	t.team.node.Cores.UseFor(t.p, 1, time.Duration(seconds*1e9))
 }
 
-// ComputeScan charges the time to scan n bytes at the platform's native
-// scan rate.
-func (t *Thread) ComputeScan(cm cluster.CostModel, n int64) {
-	t.Compute(float64(n) / cm.ScanBW)
-}
-
 // Offload charges the thread `seconds` of single-core compute — holding a
 // core, exactly like Compute — while fn runs on the host worker pool; the
 // result is returned when the virtual charge elapses. The event footprint

@@ -81,9 +81,6 @@ func (j *Job) charge(n int) {
 // Len returns the global array length.
 func (j *Job) Len() int { return j.n }
 
-// LocalRange returns this rank's partition bounds.
-func (j *Job) LocalRange() (lo, hi int) { return j.lo, j.hi }
-
 // op is a lineage node.
 type op interface {
 	apply(j *Job, a *Array)
@@ -318,9 +315,6 @@ func (a *Array) Checkpoint() {
 	a.job.Checkpoints++
 	mpi.Checkpoint(a.job.r, a.job.comm, int64(len(a.local))*elemBytes)
 }
-
-// DropCheckpoint discards the checkpoint (e.g. storage reclaimed).
-func (a *Array) DropCheckpoint() { a.ckpt = nil }
 
 // Save writes the array to the DFS as one part-file per rank
 // (dir/part-NNNNN) — the paper's §VIII "I/O handling from Spark to HPC

@@ -524,16 +524,6 @@ type ExecutorStats struct {
 // Evictions returns cache evictions on this executor.
 func (e ExecutorStats) Evictions() int64 { return e.bm.Evictions }
 
-// Spills returns blocks this executor pushed to disk under node memory
-// pressure (put redirections plus spillToDisk migrations).
-func (e ExecutorStats) Spills() int64 { return e.bm.Spills }
-
-// CacheHits returns block-manager hits.
-func (e ExecutorStats) CacheHits() int64 { return e.bm.Hits }
-
-// CacheMisses returns block-manager misses.
-func (e ExecutorStats) CacheMisses() int64 { return e.bm.Misses }
-
 // ShuffleTransportStats exposes the reliable-delivery statistics of the
 // shuffle fetch path (retries, timeouts, corrupt frames dropped).
 func (ctx *Context) ShuffleTransportStats() transport.Stats {

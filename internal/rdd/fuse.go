@@ -28,8 +28,8 @@ import (
 //
 // Fusion stops where lineage semantics require materialization: persisted
 // RDDs (their partitions must enter the block manager), shuffle
-// dependencies, and operators with bespoke charging (MapWithCost clears
-// the plan it inherits from Map).
+// dependencies, and operators with bespoke charging (such as
+// MapPartitionsWithCost, which builds no plan).
 
 // fusionEnabled gates whether narrow transformations build fused plans.
 // It exists for the fused-vs-unfused golden test; production code never

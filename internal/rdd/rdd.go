@@ -289,25 +289,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	return out
 }
 
-// MapWithCost is Map with an explicit per-record user compute cost
-// (nanoseconds at JVM rate), for workloads whose work is not captured by
-// framework overhead alone.
-func MapWithCost[T, U any](r *RDD[T], perRecordNs int64, f func(T) U) *RDD[U] {
-	out := Map(r, f)
-	inner := out.compute
-	out.compute = func(tc *taskContext, part int) ([]U, error) {
-		res, err := inner(tc, part)
-		if err == nil {
-			tc.chargeCompute(len(res), nsToDur(perRecordNs))
-		}
-		return res, err
-	}
-	// The user-cost charge lives outside the fused accounting; children
-	// must materialize through the wrapper, not stream past it.
-	out.plan = nil
-	return out
-}
-
 // Filter keeps records where pred holds.
 func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
 	m := newMeta(r.m.ctx, fmt.Sprintf("filter@%s", r.m.name), r.m.nparts)
@@ -486,9 +467,4 @@ func Values[K comparable, V any](r *RDD[KV[K, V]]) *RDD[V] {
 // ChargeSer charges JVM serialization of n logical bytes.
 func (ph *procHandle) ChargeSer(n int64) {
 	ph.tc.p.Sleep(ph.tc.ctx.C.Cost.SerTime(n))
-}
-
-// ChargeDeser charges JVM deserialization of n logical bytes.
-func (ph *procHandle) ChargeDeser(n int64) {
-	ph.tc.p.Sleep(ph.tc.ctx.C.Cost.DeserTime(n))
 }

@@ -302,9 +302,6 @@ func New(c *cluster.Cluster, f cluster.FabricSpec, cfg Config, stream, seed int6
 	}
 }
 
-// Fabric returns the fabric this transport charges.
-func (t *Transport) Fabric() cluster.FabricSpec { return t.fabric }
-
 func (t *Transport) peer(src, dst int) *peerState {
 	k := [2]int{src, dst}
 	p := t.peers[k]

@@ -91,11 +91,6 @@ func NewGraph(seed int64, vertices int, logicalVertices int64, avgDegree float64
 // NumEdges returns the physical edge count.
 func (g *Graph) NumEdges() int { return len(g.targets) }
 
-// LogicalEdges returns the edge count the cost model charges for.
-func (g *Graph) LogicalEdges() int64 {
-	return int64(float64(g.LogicalVertices) * float64(g.NumEdges()) / float64(g.NumVertices))
-}
-
 // Scale returns logical/physical vertex ratio.
 func (g *Graph) Scale() float64 {
 	return float64(g.LogicalVertices) / float64(g.NumVertices)
