@@ -716,12 +716,12 @@ func (e *Engine) apply(ev Event) {
 		if f <= 0 || f > 1 || math.IsNaN(f) {
 			return
 		}
-		got := c.ClaimMem(ev.Node, int64(f*float64(n.Spec.MemBytes)))
+		got := n.AllocMemUpTo(int64(f * float64(n.Spec.MemBytes)))
 		e.hogMem[ev.Node] += got
 		e.HoggedBytes += got
 		e.MemHogs++
 	case MemHogEnd:
-		c.ReleaseMem(ev.Node, e.hogMem[ev.Node])
+		n.FreeMem(e.hogMem[ev.Node])
 		e.HoggedBytes -= e.hogMem[ev.Node]
 		delete(e.hogMem, ev.Node)
 		e.MemHogEnds++
@@ -730,12 +730,12 @@ func (e *Engine) apply(ev Event) {
 		if f <= 0 || f > 1 || math.IsNaN(f) {
 			return
 		}
-		got := c.ClaimDisk(ev.Node, int64(f*float64(n.Scratch.Spec.Capacity)))
+		got := n.Scratch.AllocUpTo(int64(f * float64(n.Scratch.Spec.Capacity)))
 		e.hogDisk[ev.Node] += got
 		e.FilledBytes += got
 		e.DiskFills++
 	case DiskFillEnd:
-		c.ReleaseDisk(ev.Node, e.hogDisk[ev.Node])
+		n.Scratch.Free(e.hogDisk[ev.Node])
 		e.FilledBytes -= e.hogDisk[ev.Node]
 		delete(e.hogDisk, ev.Node)
 		e.DiskFillEnds++

@@ -41,7 +41,9 @@ func TestMemDiskCountersParallelDispatch(t *testing.T) {
 				// Cross-shard traffic: a placement-style read plus a
 				// hog-style claim/release against another shard's node.
 				_ = c.Node(peer).MemFree()
-				c.ReleaseMem(peer, c.ClaimMem(peer, 1<<20))
+				if got := c.Node(peer).AllocMemUpTo(1 << 20); got > 0 {
+					c.Node(peer).FreeMem(got)
+				}
 				if own.Scratch.Alloc(1 << 30) {
 					p.Sleep(2 * time.Microsecond)
 					own.Scratch.Free(1 << 30)
@@ -49,7 +51,9 @@ func TestMemDiskCountersParallelDispatch(t *testing.T) {
 				if got := own.Scratch.AllocUpTo(2 << 30); got > 0 {
 					own.Scratch.Free(got)
 				}
-				c.ReleaseDisk(peer, c.ClaimDisk(peer, 1<<20))
+				if got := c.Node(peer).Scratch.AllocUpTo(1 << 20); got > 0 {
+					c.Node(peer).Scratch.Free(got)
+				}
 				p.Sleep(time.Microsecond)
 			}
 		})
