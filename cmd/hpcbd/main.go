@@ -1,7 +1,8 @@
 // Command hpcbd regenerates this repository's artifacts by name: the
 // paper's tables and figures (table1, fig3, table2, fig4, fig6, fig7,
 // table3), their variants (fig3-shmem, persist, scale), the six
-// fault-injection sweeps and the eight software-stack ablations.
+// fault-injection sweeps, the eight software-stack ablations and the
+// four Discussion ablations (replication, faults, rda, converged).
 //
 //	hpcbd [-quick] [-csv | -json] [-plot] [-cpuprofile F] [-memprofile F] <name>... | all
 //

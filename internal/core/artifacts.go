@@ -34,8 +34,9 @@ type Artifact struct {
 }
 
 // Artifacts returns every artifact, in the order `hpcbd all` runs them:
-// the paper's tables and figures, their variants, the six fault sweeps
-// and the eight stack ablations.
+// the paper's tables and figures, their variants, the six fault sweeps,
+// the eight stack ablations and the four Discussion ablations
+// (replication, faults, rda, converged).
 func Artifacts() []Artifact {
 	return []Artifact{
 		{Name: "table1", Run: func(Options) any { return Table1() },
@@ -126,6 +127,10 @@ func Artifacts() []Artifact {
 		ablation("kmeans", func(o Options) (Table, map[string]KMResult) { return AblationKMeans(o, 8, 8, 10) }),
 		ablation("offload", AblationOffload),
 		ablation("memory", AblationMemory),
+		ablation("replication", func(o Options) (Table, any) { return AblationReplication(o), nil }),
+		ablation("faults", func(o Options) (Table, FaultAblation) { fa := AblationFaults(o); return fa.Table(), fa }),
+		ablation("rda", func(o Options) (Table, RDAAblation) { ab := AblationRDA(o); return ab.Table(), ab }),
+		ablation("converged", AblationConverged),
 	}
 }
 
@@ -198,7 +203,7 @@ func sweep[R any](name string, slow bool, run func(Options) R, check func(a, b R
 		Golden: func(r any) map[string]string { return map[string]string{name + "-quick": fmt.Sprintf("%#v", r)} }}
 }
 
-// ablation is a software-stack ablation: one table, no shape check.
+// ablation is an ablation: one table, no shape check.
 func ablation[M any](name string, run func(Options) (Table, M)) Artifact {
 	return Artifact{Name: name,
 		Run:  func(o Options) any { t, _ := run(o); return t },
