@@ -351,27 +351,6 @@ func crashVictims(nodes int, spare []int) []int {
 	return victims
 }
 
-// LossWindow returns events raising the message loss probability to rate
-// during [from, to); a `to` at or before `from` makes the loss permanent.
-func LossWindow(rate float64, from, to time.Duration) []Event {
-	evs := []Event{{At: from, Kind: MsgLoss, Factor: rate}}
-	if to > from {
-		evs = append(evs, Event{At: to, Kind: MsgLoss, Factor: 0})
-	}
-	return evs
-}
-
-// CorruptWindow returns events raising the in-flight corruption
-// probability to rate during [from, to); `to` at or before `from` makes
-// it permanent.
-func CorruptWindow(rate float64, from, to time.Duration) []Event {
-	evs := []Event{{At: from, Kind: MsgCorrupt, Factor: rate}}
-	if to > from {
-		evs = append(evs, Event{At: to, Kind: MsgCorrupt, Factor: 0})
-	}
-	return evs
-}
-
 // Partition returns events splitting the network into groups during
 // [from, to) — a transient split-brain. Nodes not listed in any group
 // form one implicit extra group. A `to` at or before `from` leaves the
@@ -524,15 +503,6 @@ func MasterKill(node int, at, downtime time.Duration) *Plan {
 		p.Events = append(p.Events, Event{At: at + downtime, Node: node, Kind: NodeRecover})
 	}
 	return p
-}
-
-// IsolateLeader builds the pointed split-brain plan: cut exactly the
-// leader's node away from everyone else during [at, at+length) (forever
-// when length is zero). The node stays heartbeat-alive the whole time —
-// the partition-tolerance sweeps need a leader that is deposed, not
-// dead.
-func IsolateLeader(leader int, at, length time.Duration) *Plan {
-	return SplitBrain([]int{leader}, at, length)
 }
 
 // SplitBrain cuts the given minority away from the rest of the cluster

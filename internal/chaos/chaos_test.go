@@ -312,9 +312,9 @@ func TestGrayNodesVictimPrefixAndDeterminism(t *testing.T) {
 // The partition plan constructors are pointed, not stochastic: the
 // sweeps need the leader cut off, not maybe cut off.
 func TestPartitionPlanConstruction(t *testing.T) {
-	p := IsolateLeader(3, time.Second, 2*time.Second)
+	p := SplitBrain([]int{3}, time.Second, 2*time.Second)
 	if len(p.Events) != 2 {
-		t.Fatalf("IsolateLeader: %d events, want 2", len(p.Events))
+		t.Fatalf("SplitBrain: %d events, want 2", len(p.Events))
 	}
 	if e := p.Events[0]; e.Kind != PartitionStart || e.At != time.Second ||
 		len(e.Groups) != 1 || len(e.Groups[0]) != 1 || e.Groups[0][0] != 3 {

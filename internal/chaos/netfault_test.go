@@ -70,9 +70,12 @@ func TestEngineAppliesNetEvents(t *testing.T) {
 	k := sim.NewKernel(3)
 	c := cluster.Comet(k, 4)
 	c.EnableNetFaults(42)
-	plan := Script()
-	plan.Add(LossWindow(0.05, 0, 2*time.Second)...)
-	plan.Add(CorruptWindow(0.01, time.Second, 3*time.Second)...)
+	plan := Script(
+		Event{At: 0, Kind: MsgLoss, Factor: 0.05},
+		Event{At: 2 * time.Second, Kind: MsgLoss, Factor: 0},
+		Event{At: time.Second, Kind: MsgCorrupt, Factor: 0.01},
+		Event{At: 3 * time.Second, Kind: MsgCorrupt, Factor: 0},
+	)
 	plan.Add(Partition([][]int{{0, 1}, {2, 3}}, time.Second, 2*time.Second)...)
 	eng := Install(c, plan)
 	type snap struct {

@@ -13,7 +13,6 @@ const (
 	tagBcast   = 2 << 28
 	tagReduce  = 3 << 28
 	tagGather  = 4 << 28
-	tagScatter = 5 << 28
 	tagAllg    = 6 << 28
 	tagA2A     = 7 << 28
 	tagRing    = 8 << 28
@@ -327,25 +326,6 @@ func (c *Comm) Gather(r *Rank, root int, payload any, bytes int64) []any {
 		out[m.Src] = m.Payload
 	}
 	return out
-}
-
-// Scatter distributes items[i] (each of the given size) from root to rank
-// i and returns this rank's item.
-func (c *Comm) Scatter(r *Rank, root int, items []any, bytes int64) any {
-	n := c.Size()
-	me := c.rankOf(r)
-	if me == root {
-		if len(items) != n {
-			panic("mpi: Scatter items length must equal comm size at root")
-		}
-		for i := 0; i < n; i++ {
-			if i != me {
-				c.Send(r, i, tagScatter, items[i], bytes)
-			}
-		}
-		return items[me]
-	}
-	return c.Recv(r, root, tagScatter).Payload
 }
 
 // Allgather collects one payload from every rank on every rank, using the

@@ -2,100 +2,9 @@ package rdd
 
 import (
 	"fmt"
-	"sort"
 
 	"hpcbd/internal/sim"
 )
-
-// SortBy globally sorts the RDD by the given key function via a
-// range-partitioning shuffle: partition boundaries are derived
-// deterministically from a sample of the data, records are shuffled to
-// their range, and each output partition sorts locally — Spark's sortBy.
-// Output partition i holds keys entirely <= partition i+1's.
-func SortBy[T any](r *RDD[T], key func(T) float64, nOut int) *RDD[T] {
-	ctx := r.m.ctx
-	if nOut <= 0 {
-		nOut = ctx.Conf.DefaultParallelism
-	}
-	recBytes := r.recBytes
-
-	// Range boundaries are computed lazily per map task from that task's
-	// own partition sample. To keep boundaries consistent across tasks,
-	// derive them from the first partition's distribution; real Spark
-	// runs a separate sampling job, which this models with a fixed,
-	// shared boundary slice resolved on first use.
-	var bounds []float64
-	boundsFor := func(data []T) []float64 {
-		if bounds != nil {
-			return bounds
-		}
-		keys := make([]float64, len(data))
-		for i, v := range data {
-			keys[i] = key(v)
-		}
-		sort.Float64s(keys)
-		bounds = make([]float64, 0, nOut-1)
-		for i := 1; i < nOut; i++ {
-			if len(keys) == 0 {
-				bounds = append(bounds, 0)
-				continue
-			}
-			bounds = append(bounds, keys[i*len(keys)/nOut])
-		}
-		return bounds
-	}
-	rangeOf := func(k float64, b []float64) int {
-		lo := sort.SearchFloat64s(b, k)
-		return lo
-	}
-
-	var dep *shuffleDep
-	dep = newShuffle(ctx, r.m, nOut, func(tc *taskContext, part int) error {
-		in, err := r.part(tc, part)
-		if err != nil {
-			return err
-		}
-		// Runs inline on the kernel thread: boundsFor mutates the shared
-		// bounds slice on first use, so this closure is not a pure payload
-		// and must not be offloaded to the host pool.
-		b := boundsFor(in)
-		buckets := make([][]KV[int, T], nOut)
-		for _, v := range in {
-			g := rangeOf(key(v), b)
-			buckets[g] = append(buckets[g], KV[int, T]{g, v})
-		}
-		tc.deferRecords(len(in))
-		writeShuffle(tc, dep, part, buckets, recBytes)
-		return nil
-	})
-
-	m := newMeta(ctx, fmt.Sprintf("sortBy@%s", r.m.name), nOut)
-	m.wide = []*shuffleDep{dep}
-	out := &RDD[T]{m: m, recBytes: recBytes}
-	out.compute = func(tc *taskContext, part int) ([]T, error) {
-		buckets, err := fetchShuffle[int, T](tc, dep.shuffleID, part)
-		if err != nil {
-			return nil, err
-		}
-		n := totalLen(buckets)
-		w := 0
-		if n > 1 {
-			w = n + n/2 // sort roughly revisits each record ~1.5x at JVM rates
-		}
-		res := offloadRecords(tc, w, func() []T {
-			res := make([]T, 0, n)
-			for _, b := range buckets {
-				for _, p := range b {
-					res = append(res, p.V)
-				}
-			}
-			sort.SliceStable(res, func(i, j int) bool { return key(res[i]) < key(res[j]) })
-			return res
-		})
-		return res, nil
-	}
-	return out
-}
 
 // Take returns the first n records (partition order), running tasks over
 // only as many partitions as needed — like Spark, it scans partitions
@@ -126,39 +35,6 @@ func slicePartition[T any](r *RDD[T], part int) *RDD[T] {
 	out.compute = func(tc *taskContext, _ int) ([]T, error) {
 		return r.part(tc, part)
 	}
-	return out
-}
-
-// Sample deterministically keeps approximately fraction of the records
-// (hash-based Bernoulli sampling keyed by seed and record index within
-// the partition).
-func Sample[T any](r *RDD[T], fraction float64, seed int64) *RDD[T] {
-	if fraction < 0 || fraction > 1 {
-		panic("rdd: sample fraction outside [0,1]")
-	}
-	threshold := uint64(fraction * float64(^uint64(0)>>1))
-	m := newMeta(r.m.ctx, fmt.Sprintf("sample@%s", r.m.name), r.m.nparts)
-	m.narrow = []*meta{r.m}
-	m.prefs = r.m.prefs
-	out := &RDD[T]{m: m, recBytes: r.recBytes}
-	out.compute = func(tc *taskContext, part int) ([]T, error) {
-		in, err := r.part(tc, part)
-		if err != nil {
-			return nil, err
-		}
-		res := offloadRecords(tc, len(in), func() []T {
-			var res []T
-			for i, v := range in {
-				h := mix64(uint64(seed) ^ uint64(part)<<32 ^ uint64(i))
-				if h>>1 <= threshold {
-					res = append(res, v)
-				}
-			}
-			return res
-		})
-		return res, nil
-	}
-	fuseSample(r, out, threshold, seed)
 	return out
 }
 

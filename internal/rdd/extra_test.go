@@ -1,68 +1,10 @@
 package rdd
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"hpcbd/internal/sim"
 )
-
-func TestSortByGloballySorted(t *testing.T) {
-	var got []int
-	app(3, DefaultConfig(), func(p *sim.Proc, ctx *Context) {
-		data := make([]int, 500)
-		rng := rand.New(rand.NewSource(5))
-		for i := range data {
-			data[i] = rng.Intn(10000)
-		}
-		r := Parallelize(ctx, "data", data, 8, 8)
-		sorted := SortBy(r, func(v int) float64 { return float64(v) }, 6)
-		var err error
-		got, err = Collect(p, sorted)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if len(got) != 500 {
-		t.Fatalf("collected %d, want 500", len(got))
-	}
-	if !sort.IntsAreSorted(got) {
-		t.Error("SortBy output is not globally sorted")
-	}
-}
-
-func TestSortByPreservesMultiset(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%200 + 1
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]int, n)
-		for i := range data {
-			data[i] = rng.Intn(50)
-		}
-		var got []int
-		app(2, DefaultConfig(), func(p *sim.Proc, ctx *Context) {
-			r := Parallelize(ctx, "data", data, 4, 8)
-			sorted := SortBy(r, func(v int) float64 { return float64(v) }, 4)
-			got, _ = Collect(p, sorted)
-		})
-		if len(got) != n {
-			return false
-		}
-		want := append([]int(nil), data...)
-		sort.Ints(want)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestTakeScansMinimalPartitions(t *testing.T) {
 	reads := 0
@@ -83,48 +25,6 @@ func TestTakeScansMinimalPartitions(t *testing.T) {
 	}
 	if reads > 2 {
 		t.Errorf("take scanned %d partitions, want <= 2", reads)
-	}
-}
-
-func TestSampleFractionAndDeterminism(t *testing.T) {
-	count := func(seed int64) int64 {
-		var n int64
-		app(2, DefaultConfig(), func(p *sim.Proc, ctx *Context) {
-			r := Parallelize(ctx, "data", ints(10000), 8, 8)
-			s := Sample(r, 0.25, seed)
-			n, _ = Count(p, s)
-		})
-		return n
-	}
-	a, b := count(7), count(7)
-	if a != b {
-		t.Errorf("sample not deterministic: %d vs %d", a, b)
-	}
-	if a < 2000 || a > 3000 {
-		t.Errorf("sample kept %d of 10000 at fraction 0.25", a)
-	}
-	// Different seeds must select different record sets (counts may
-	// coincide; contents must not).
-	members := func(seed int64) []int {
-		var out []int
-		app(2, DefaultConfig(), func(p *sim.Proc, ctx *Context) {
-			r := Parallelize(ctx, "data", ints(10000), 8, 8)
-			out, _ = Collect(p, Sample(r, 0.25, seed))
-		})
-		return out
-	}
-	ma, mc := members(7), members(8)
-	same := len(ma) == len(mc)
-	if same {
-		for i := range ma {
-			if ma[i] != mc[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Error("different seeds selected identical record sets")
 	}
 }
 

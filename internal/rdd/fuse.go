@@ -8,8 +8,8 @@ import (
 
 // Fused narrow-stage pipelines.
 //
-// A chain of narrow transformations (Map, Filter, FlatMap, MapValues,
-// Sample) used to materialize a fresh []T per lineage step: each operator
+// A chain of narrow transformations (Map, Filter, FlatMap, MapValues)
+// used to materialize a fresh []T per lineage step: each operator
 // pulled its parent's partition, allocated an output slice, and charged
 // its accounting with its own kernel event. The fused path composes the
 // whole chain into one push-based pipeline per partition: the chain base
@@ -279,43 +279,6 @@ func fuseFlatMap[T, U any](parent *RDD[T], out *RDD[U], f func(T, func(U))) {
 					*rec = append(*rec, nIn)
 				}
 				*rec = append(*rec, nOut)
-			},
-		}, nil
-	}}
-	out.compute = fusedCompute(out.plan)
-	out.owned = true
-}
-
-// fuseSample attaches the fused plan for deterministic Bernoulli sampling
-// (hash of seed, partition and arrival index — identical to the unfused
-// operator's indexing).
-func fuseSample[T any](parent, out *RDD[T], threshold uint64, seed int64) {
-	if !fusionEnabled {
-		return
-	}
-	out.plan = &fusePlan[T]{bind: func(tc *taskContext, part int) (fusedFeed[T], error) {
-		pf, err := feedOf(parent, tc, part)
-		if err != nil {
-			return fusedFeed[T]{}, err
-		}
-		skip := pf.windowed
-		return fusedFeed[T]{
-			baseLen: pf.baseLen,
-			kernel:  pf.kernel,
-			expands: pf.expands,
-			done:    pf.done,
-			feed: func(sink func(T), rec *[]int) {
-				n := 0
-				pf.feed(func(v T) {
-					h := mix64(uint64(seed) ^ uint64(part)<<32 ^ uint64(n))
-					n++
-					if h>>1 <= threshold {
-						sink(v)
-					}
-				}, rec)
-				if !skip {
-					*rec = append(*rec, n)
-				}
 			},
 		}, nil
 	}}

@@ -188,9 +188,6 @@ func (p *Proc) ID() int { return p.id }
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Shard returns the event shard this process's wake events route to.
 func (p *Proc) Shard() int { return p.shard }
 
@@ -678,9 +675,6 @@ func TotalEvents() int64 { return totalEvents.Load() }
 // After Run returns, a non-zero value means some processes never finished
 // (typically a deliberate simulation cut-off, or a bug in the model).
 func (k *Kernel) Blocked() int { return k.parked }
-
-// Live returns the number of spawned processes that have not finished.
-func (k *Kernel) Live() int { return k.live }
 
 // reclaim stops every coroutine the kernel created: suspended in park
 // (not finished), idling on a free list in coro (finished), or never

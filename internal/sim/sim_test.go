@@ -451,24 +451,16 @@ func TestChanTrySendTryRecv(t *testing.T) {
 func TestResourceUseAndUseFor(t *testing.T) {
 	k := NewKernel(1)
 	r := NewResource(k, "r", 1)
-	var inside bool
 	k.Spawn("a", func(p *Proc) {
-		r.Use(p, 1, func() {
-			inside = r.InUse() == 1
-			p.Sleep(time.Millisecond)
-		})
-		if r.InUse() != 0 {
-			t.Error("Use leaked the resource")
-		}
 		r.UseFor(p, 1, 2*time.Millisecond)
-		if p.Now() != Time(3*time.Millisecond) {
-			t.Errorf("now %v, want 3ms", p.Now())
+		if p.Now() != Time(2*time.Millisecond) {
+			t.Errorf("now %v, want 2ms", p.Now())
+		}
+		if r.InUse() != 0 {
+			t.Error("UseFor leaked the resource")
 		}
 	})
 	k.Run()
-	if !inside {
-		t.Error("Use did not hold the resource during fn")
-	}
 }
 
 func TestResourceOverCapacityPanics(t *testing.T) {
