@@ -572,16 +572,15 @@ func (d *DFS) nnRPC(p *sim.Proc, clientNode int) (ha.Lease, error) {
 	return ha.Lease{}, fmt.Errorf("%w: namenode rpc: retries exhausted", ErrUnavailable)
 }
 
-// rpcBackoff returns the pause before RPC retry `attempt` (1-based):
-// exponential from the retry config's base, capped at its max, with up
-// to JitterFrac of seeded jitter.
+// rpcBackoff returns the pause before RPC retry `attempt` (1-based): the
+// transport's ladder, exponential from BackoffBase, capped at BackoffMax,
+// with up to JitterFrac of seeded jitter.
 func (d *DFS) rpcBackoff(attempt int) time.Duration {
-	rc := d.cfg.Retry.WithDefaults()
-	b := rc.BackoffBase << uint(attempt-1)
-	if b > rc.BackoffMax || b <= 0 {
-		b = rc.BackoffMax
+	b := transport.BackoffBase << uint(attempt-1)
+	if b > transport.BackoffMax || b <= 0 {
+		b = transport.BackoffMax
 	}
-	return time.Duration(float64(b) * (1 + rc.JitterFrac*d.rng.Float64()))
+	return time.Duration(float64(b) * (1 + transport.JitterFrac*d.rng.Float64()))
 }
 
 // placeReplicas picks replica nodes for a new block: first on the writer's

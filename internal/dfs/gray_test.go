@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hpcbd/internal/sim"
+	"hpcbd/internal/transport"
 )
 
 // Blocks created while datanodes are down are born under-replicated
@@ -89,8 +90,7 @@ func TestDeadNamenodeFailsClosedBounded(t *testing.T) {
 // and it is deterministic for a fixed DFS instance history.
 func TestNamenodeRPCBackoffCapped(t *testing.T) {
 	_, _, d := setup(4, DefaultConfig())
-	rc := d.cfg.Retry.WithDefaults()
-	cap := time.Duration(float64(rc.BackoffMax) * (1 + rc.JitterFrac))
+	cap := time.Duration(float64(transport.BackoffMax) * (1 + transport.JitterFrac))
 	for _, attempt := range []int{1, 5, 20, 63} {
 		if b := d.rpcBackoff(attempt); b <= 0 || b > cap {
 			t.Errorf("rpcBackoff(%d) = %v, want in (0, %v]", attempt, b, cap)

@@ -381,10 +381,16 @@ func (ctx *Context) runTasks(p *sim.Proc, name string, parts []int,
 	return errs
 }
 
+// Speculation thresholds, as in Spark's defaults.
+const (
+	speculationQuantile   = 0.75 // fraction of a stage's tasks finished before speculating
+	speculationMultiplier = 1.5  // a task slower than this x the median gets a copy
+)
+
 // speculate runs the straggler monitor for one stage: every interval it
-// checks whether at least SpeculationQuantile of the tasks have finished,
+// checks whether at least speculationQuantile of the tasks have finished,
 // and if so launches a duplicate of any task running longer than
-// SpeculationMultiplier x the median completed duration on a different
+// speculationMultiplier x the median completed duration on a different
 // executor.
 func (ctx *Context) speculate(name string, states []*taskState,
 	launch func(t *taskState, exec *executor, speculative bool)) {
@@ -403,11 +409,11 @@ func (ctx *Context) speculate(name string, states []*taskState,
 			if done == len(states) {
 				return
 			}
-			if float64(done) < ctx.Conf.SpeculationQuantile*float64(len(states)) {
+			if float64(done) < speculationQuantile*float64(len(states)) {
 				continue
 			}
 			sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-			threshold := time.Duration(float64(durs[len(durs)/2]) * ctx.Conf.SpeculationMultiplier)
+			threshold := time.Duration(float64(durs[len(durs)/2]) * speculationMultiplier)
 			if threshold <= 0 {
 				continue
 			}

@@ -9,7 +9,7 @@ import (
 	"hpcbd/internal/sim"
 )
 
-// The breaker's open-state dwell is drawn per trip: BreakerCooldown
+// The breaker's open-state dwell is drawn per trip: breakerCooldown
 // stretched by up to JitterFrac of seeded jitter — never shorter, never
 // more than the fraction longer — and bit-identical across runs.
 func TestBreakerCooldownJitterDeterministic(t *testing.T) {
@@ -31,8 +31,8 @@ func TestBreakerCooldownJitterDeterministic(t *testing.T) {
 	if cd1 != cd2 {
 		t.Fatalf("cooldown jitter nondeterministic: %v vs %v", cd1, cd2)
 	}
-	base := DefaultConfig().BreakerCooldown
-	lo, hi := base, time.Duration(float64(base)*(1+DefaultConfig().JitterFrac))
+	base := breakerCooldown
+	lo, hi := base, time.Duration(float64(base)*(1+JitterFrac))
 	if cd1 < lo || cd1 > hi {
 		t.Fatalf("jittered cooldown %v outside [%v, %v]", cd1, lo, hi)
 	}
@@ -52,7 +52,7 @@ func TestHalfOpenAdmitsExactlyOneProbe(t *testing.T) {
 			t.Error("send across partition succeeded")
 		}
 		c.HealPartition()
-		p.Sleep(2 * tr.cfg.BreakerCooldown) // past the jittered dwell
+		p.Sleep(2 * breakerCooldown) // past the jittered dwell
 		for i := 0; i < 3; i++ {
 			c.K.Spawn("rival", func(wp *sim.Proc) {
 				switch _, err := tr.Send(wp, 0, 3, 1<<16); {
@@ -74,7 +74,7 @@ func TestHalfOpenAdmitsExactlyOneProbe(t *testing.T) {
 }
 
 // On a healthy path the adaptive timeout converges well under the fixed
-// AckTimeout grace: lost frames are detected in a fraction of the fixed
+// ackTimeout grace: lost frames are detected in a fraction of the fixed
 // budget instead of a full grace per attempt.
 func TestAdaptiveTimeoutTightensOnHealthyPath(t *testing.T) {
 	const bytes = 1 << 20
@@ -87,11 +87,11 @@ func TestAdaptiveTimeoutTightensOnHealthyPath(t *testing.T) {
 				t.Fatalf("send %d: %v", i, err)
 			}
 		}
-		fixed := tr.expected(bytes) + tr.cfg.AckTimeout
+		fixed := tr.expected(bytes) + ackTimeout
 		if got := tr.timeoutFor(0, 1, bytes); got >= fixed {
 			t.Errorf("adaptive timeout %v not tighter than fixed %v", got, fixed)
 		}
-		if got, min := tr.timeoutFor(0, 1, bytes), tr.expected(bytes)+tr.cfg.MinAckTimeout; got < min {
+		if got, min := tr.timeoutFor(0, 1, bytes), tr.expected(bytes)+minAckTimeout; got < min {
 			t.Errorf("adaptive timeout %v fell below the floor %v", got, min)
 		}
 	})
@@ -101,7 +101,7 @@ func TestAdaptiveTimeoutTightensOnHealthyPath(t *testing.T) {
 // A node whose NIC limps at 8x nominal pace is ejected once enough
 // samples accumulate; traffic touching it fast-fails with
 // ErrPeerEjected, healthy pairs are unaffected, and after the node
-// heals a re-probe past ReprobeAfter readmits it.
+// heals a re-probe past reprobeAfter readmits it.
 func TestGrayPeerEjectedAndReprobed(t *testing.T) {
 	const bytes = 1 << 20
 	const grayNode = 3
@@ -134,7 +134,7 @@ func TestGrayPeerEjectedAndReprobed(t *testing.T) {
 		// Heal the node; the next admitted probe observes nominal pace,
 		// the windowed minimum collapses, and the node is readmitted.
 		c.Node(grayNode).SetNICScale(1)
-		p.Sleep(tr.cfg.ReprobeAfter + time.Millisecond)
+		p.Sleep(reprobeAfter + time.Millisecond)
 		if _, err := tr.Send(p, 0, grayNode, bytes); err != nil {
 			t.Errorf("re-probe after heal failed: %v", err)
 		}
@@ -167,7 +167,7 @@ func TestStillGrayPeerStaysEjected(t *testing.T) {
 		if !tr.Ejected(grayNode) {
 			t.Fatal("gray node never ejected")
 		}
-		p.Sleep(tr.cfg.ReprobeAfter + time.Millisecond)
+		p.Sleep(reprobeAfter + time.Millisecond)
 		if _, err := tr.Send(p, 0, grayNode, bytes); err != nil {
 			t.Errorf("probe delivery failed: %v", err)
 		}

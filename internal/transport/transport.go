@@ -70,19 +70,36 @@ var (
 	ErrRetryBudget = errors.New("transport: retry budget exhausted")
 )
 
-// Config tunes a Transport. Zero fields take the defaults below.
-type Config struct {
-	// AckTimeout is the grace allowed beyond the expected transfer round
+// Timing of every Transport.
+const (
+	// ackTimeout is the grace allowed beyond the expected transfer round
 	// trip before an attempt is declared lost.
-	AckTimeout time.Duration
-	// MaxRetries bounds re-transmissions after the first attempt.
-	MaxRetries int
+	ackTimeout = 2 * time.Millisecond
+	// minAckTimeout floors the adaptive grace (Config.Adaptive).
+	minAckTimeout = 200 * time.Microsecond
 	// BackoffBase/BackoffMax shape the exponential backoff between
 	// attempts; JitterFrac adds up to that fraction of seeded jitter so
-	// synchronized senders decorrelate (deterministically).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	JitterFrac  float64
+	// synchronized senders decorrelate (deterministically). The dfs RPC
+	// ladder uses the same three.
+	BackoffBase = time.Millisecond
+	BackoffMax  = 64 * time.Millisecond
+	JitterFrac  = 0.2
+	// breakerCooldown is how long a tripped breaker stays open before one
+	// probe half-opens it, stretched by up to JitterFrac of seeded jitter
+	// so peers tripped by the same event don't half-open in lockstep.
+	breakerCooldown = 50 * time.Millisecond
+	// fastFailCost is the local cost of a fast-failed call (an
+	// EHOSTUNREACH, essentially).
+	fastFailCost = 10 * time.Microsecond
+	// reprobeAfter is how long an ejected node stays ejected before a
+	// single probe is re-admitted (Config.EjectFactor).
+	reprobeAfter = 200 * time.Millisecond
+)
+
+// Config tunes a Transport. Zero fields take the defaults below.
+type Config struct {
+	// MaxRetries bounds re-transmissions after the first attempt.
+	MaxRetries int
 	// NoVerify disables receiver-side CRC checking. Verified flows (the
 	// default) drop corrupt frames and retry them, so no corrupt byte is
 	// ever delivered. Flows that carry their own end-to-end checksums
@@ -90,13 +107,8 @@ type Config struct {
 	// themselves.
 	NoVerify bool
 	// BreakerThreshold consecutive timeouts to one peer trip its breaker;
-	// BreakerCooldown (stretched by up to JitterFrac of seeded jitter, so
-	// peers tripped by the same event don't half-open in lockstep) later
-	// one probe half-opens it. FastFailCost is the local cost of a
-	// fast-failed call (an EHOSTUNREACH, essentially).
+	// breakerCooldown later one probe half-opens it.
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	FastFailCost     time.Duration
 
 	// Gray-failure mitigations. All are opt-in: with Adaptive false,
 	// EjectFactor zero and Budget nil, Send behaves exactly as before.
@@ -104,22 +116,19 @@ type Config struct {
 	// Adaptive enables deterministic per-node latency tracking: an EWMA +
 	// deviation estimate of the observed delivery stretch (attempt time
 	// over the fabric's expected time, on the sim clock) drives the
-	// per-attempt timeout in place of the fixed AckTimeout grace. Healthy
-	// peers converge to a grace near MinAckTimeout, so lost frames are
+	// per-attempt timeout in place of the fixed ackTimeout grace. Healthy
+	// peers converge to a grace near minAckTimeout, so lost frames are
 	// detected in a fraction of the fixed budget; slow-but-alive peers
 	// earn proportionally longer deadlines instead of spurious ladders.
 	Adaptive bool
-	// MinAckTimeout floors the adaptive grace (default 200µs).
-	MinAckTimeout time.Duration
 	// EjectFactor k ejects a node whose stretch estimate exceeds k× the
 	// cluster-wide median, after EjectMinSamples observations (default 8);
 	// calls touching an ejected node fast-fail with ErrPeerEjected until
-	// ReprobeAfter (default 200ms), when a single probe is re-admitted.
+	// reprobeAfter, when a single probe is re-admitted.
 	// Zero disables ejection. At most a third of tracked nodes are ever
 	// ejected at once, so mitigations cannot starve the cluster.
 	EjectFactor     float64
 	EjectMinSamples int
-	ReprobeAfter    time.Duration
 	// Budget, when set, is a (typically shared) token bucket charged one
 	// token per retransmission. When it runs dry, Send fails fast with
 	// ErrRetryBudget instead of climbing the backoff ladder — a gray
@@ -130,56 +139,21 @@ type Config struct {
 // DefaultConfig returns the shuffle-service-flavored defaults.
 func DefaultConfig() Config {
 	return Config{
-		AckTimeout:       2 * time.Millisecond,
 		MaxRetries:       6,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       64 * time.Millisecond,
-		JitterFrac:       0.2,
 		BreakerThreshold: 4,
-		BreakerCooldown:  50 * time.Millisecond,
-		FastFailCost:     10 * time.Microsecond,
 	}
 }
 
-// WithDefaults returns the config with zero fields replaced by the
-// defaults — exported so sibling layers (the dfs RPC ladder) can mirror
-// the transport's backoff parameters without restating them.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = d.AckTimeout
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = d.MaxRetries
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = d.BackoffBase
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = d.BackoffMax
-	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = d.JitterFrac
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = d.BreakerThreshold
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = d.BreakerCooldown
-	}
-	if c.FastFailCost <= 0 {
-		c.FastFailCost = d.FastFailCost
-	}
-	if c.MinAckTimeout <= 0 {
-		c.MinAckTimeout = 200 * time.Microsecond
-	}
 	if c.EjectMinSamples <= 0 {
 		c.EjectMinSamples = 8
-	}
-	if c.ReprobeAfter <= 0 {
-		c.ReprobeAfter = 200 * time.Millisecond
 	}
 	return c
 }
@@ -342,16 +316,16 @@ func (t *Transport) occupied(bytes int64) time.Duration {
 const minObservableOcc = time.Microsecond
 
 // timeoutFor returns the per-attempt delivery deadline for a src→dst
-// transfer. Fixed mode: expected round trip plus the AckTimeout grace.
+// transfer. Fixed mode: expected round trip plus the ackTimeout grace.
 // Adaptive mode: the occupancy part of the trip is scaled by the slower
 // endpoint's smoothed pace estimate (fixed latency terms don't stretch
 // on a slow NIC), plus a deviation-scaled grace clamped between
-// MinAckTimeout and AckTimeout — tight on healthy paths (fast loss
+// minAckTimeout and ackTimeout — tight on healthy paths (fast loss
 // detection), honest on slow-but-alive ones (no spurious ladders).
 func (t *Transport) timeoutFor(src, dst int, bytes int64) time.Duration {
 	exp := t.expected(bytes)
 	if !t.cfg.Adaptive {
-		return exp + t.cfg.AckTimeout
+		return exp + ackTimeout
 	}
 	stretch, dev := 1.0, 0.0
 	for _, l := range [2]*nodeLat{t.latFor(src), t.latFor(dst)} {
@@ -360,15 +334,15 @@ func (t *Transport) timeoutFor(src, dst int, bytes int64) time.Duration {
 		}
 	}
 	if stretch == 1 && t.latFor(src).samples < adaptiveWarmup && t.latFor(dst).samples < adaptiveWarmup {
-		return exp + t.cfg.AckTimeout
+		return exp + ackTimeout
 	}
 	occ := float64(t.occupied(bytes))
 	grace := time.Duration(4 * dev * occ)
-	if grace < t.cfg.MinAckTimeout {
-		grace = t.cfg.MinAckTimeout
+	if grace < minAckTimeout {
+		grace = minAckTimeout
 	}
-	if grace > t.cfg.AckTimeout {
-		grace = t.cfg.AckTimeout
+	if grace > ackTimeout {
+		grace = ackTimeout
 	}
 	return exp + time.Duration((stretch-1)*occ) + grace
 }
@@ -522,7 +496,7 @@ func (t *Transport) HedgeDelay(bytes int64) time.Duration {
 	// slower still, remains far outside it. The median pace scales only
 	// the occupancy component, mirroring how a slow NIC actually pays.
 	d := 3 * (exp + time.Duration((med-1)*float64(t.occupied(bytes))))
-	if min := exp + t.cfg.MinAckTimeout; d < min {
+	if min := exp + minAckTimeout; d < min {
 		d = min
 	}
 	return d
@@ -531,18 +505,18 @@ func (t *Transport) HedgeDelay(bytes int64) time.Duration {
 // backoff returns the pause before retry `attempt` (1-based), with
 // deterministic jitter.
 func (t *Transport) backoff(attempt int) time.Duration {
-	d := t.cfg.BackoffBase << uint(attempt-1)
-	if d > t.cfg.BackoffMax || d <= 0 {
-		d = t.cfg.BackoffMax
+	d := BackoffBase << uint(attempt-1)
+	if d > BackoffMax || d <= 0 {
+		d = BackoffMax
 	}
-	return time.Duration(float64(d) * (1 + t.cfg.JitterFrac*t.rng.Float64()))
+	return time.Duration(float64(d) * (1 + JitterFrac*t.rng.Float64()))
 }
 
 // jitteredCooldown draws one breaker trip's open-state dwell:
-// BreakerCooldown stretched by up to JitterFrac of seeded jitter, so
+// breakerCooldown stretched by up to JitterFrac of seeded jitter, so
 // peers tripped by the same fault don't all half-open in lockstep.
 func (t *Transport) jitteredCooldown() time.Duration {
-	return time.Duration(float64(t.cfg.BreakerCooldown) * (1 + t.cfg.JitterFrac*t.rng.Float64()))
+	return time.Duration(float64(breakerCooldown) * (1 + JitterFrac*t.rng.Float64()))
 }
 
 // sleepRemainder sleeps p to `start + timeout` — the point where the
@@ -584,9 +558,9 @@ func (t *Transport) Send(p *sim.Proc, src, dst int, bytes int64) (Result, error)
 		if l == nil || !l.ejected {
 			continue
 		}
-		if p.Now().Sub(l.ejectedAt) < t.cfg.ReprobeAfter || l.probing {
+		if p.Now().Sub(l.ejectedAt) < reprobeAfter || l.probing {
 			t.FastFails++
-			p.Sleep(t.cfg.FastFailCost)
+			p.Sleep(fastFailCost)
 			return Result{}, fmt.Errorf("%w: node %d -> node %d (node %d)", ErrPeerEjected, src, dst, node)
 		}
 		l.probing = true
@@ -598,11 +572,11 @@ func (t *Transport) Send(p *sim.Proc, src, dst int, bytes int64) (Result, error)
 	case breakerOpen:
 		cooldown := pr.cooldown
 		if cooldown <= 0 {
-			cooldown = t.cfg.BreakerCooldown
+			cooldown = breakerCooldown
 		}
 		if p.Now().Sub(pr.openedAt) < cooldown {
 			t.FastFails++
-			p.Sleep(t.cfg.FastFailCost)
+			p.Sleep(fastFailCost)
 			return Result{}, fmt.Errorf("%w: node %d -> node %d", ErrCircuitOpen, src, dst)
 		}
 		pr.state = breakerHalfOpen
@@ -611,7 +585,7 @@ func (t *Transport) Send(p *sim.Proc, src, dst int, bytes int64) (Result, error)
 	if pr.state == breakerHalfOpen {
 		if pr.probing {
 			t.FastFails++
-			p.Sleep(t.cfg.FastFailCost)
+			p.Sleep(fastFailCost)
 			return Result{}, fmt.Errorf("%w: node %d -> node %d (probe in flight)", ErrCircuitOpen, src, dst)
 		}
 		pr.probing = true
