@@ -35,9 +35,9 @@ SWEEPS := chaos transport master partition tail overload
 
 # Builds hpcbd and every example once into $(SMOKE_BIN)/ and runs every
 # hpcbd artifact but the sweeps (those run under `make chaos`) with
-# -quick, in one process, and every example bare. Fails on any non-zero
-# exit, and on an unknown artifact name or -csv with -json that does not
-# exit 2.
+# -quick, in one process, every example bare, and hpcbd's -csv, -json
+# and -plot output paths on fig4 and table2. Fails on any non-zero exit,
+# and on an unknown artifact name or -csv with -json that does not exit 2.
 SMOKE_BIN ?= .smoke
 smoke:
 	$(GO) build -o $(SMOKE_BIN)/ ./cmd/hpcbd ./examples/...
@@ -46,6 +46,9 @@ smoke:
 		echo "smoke: hpcbd -quick" $$run; $(SMOKE_BIN)/hpcbd -quick $$run >/dev/null 2>$(SMOKE_BIN)/hpcbd.err \
 			|| { cat $(SMOKE_BIN)/hpcbd.err; exit 1; }
 	@set -e; for t in $(notdir $(wildcard examples/*)); do echo "smoke: $$t"; $(SMOKE_BIN)/$$t >/dev/null; done
+	@set -e; for f in -csv -json -plot; do echo "smoke: hpcbd -quick $$f fig4 table2"; \
+		$(SMOKE_BIN)/hpcbd -quick $$f fig4 table2 >/dev/null 2>$(SMOKE_BIN)/hpcbd.err \
+			|| { cat $(SMOKE_BIN)/hpcbd.err; exit 1; }; done
 	@for c in "bogus" "interconnect filesytem" "-csv -json fig3"; do \
 		rc=0; $(SMOKE_BIN)/hpcbd $$c >/dev/null 2>&1 || rc=$$?; \
 		if [ $$rc -ne 2 ]; then echo "smoke: hpcbd $$c exited $$rc, want 2"; exit 1; fi; \
