@@ -237,6 +237,3 @@ func (d *Disk) BytesRead() int64 { return d.bytesRead }
 
 // BytesWritten returns the cumulative bytes written.
 func (d *Disk) BytesWritten() int64 { return d.bytesWritten }
-
-// Utilization reports the fraction of virtual time the disk was busy.
-func (d *Disk) Utilization() float64 { return d.ch.Utilization() }

@@ -53,9 +53,6 @@ func NewGang(n int) *Gang {
 	return g
 }
 
-// Size returns the gang's worker count, including the caller.
-func (g *Gang) Size() int { return g.size }
-
 // Run executes fn(0..n-1) across the gang and returns when every call
 // has finished (a full barrier). The caller runs its own share; tasks
 // are assigned worker w ∈ {0..size-1} by task index i mod size. Run must

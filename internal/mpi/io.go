@@ -34,9 +34,6 @@ func (c *Comm) FileOpenLocal(r *Rank, name string, size int64) *File {
 	return &File{comm: c, name: name, size: size}
 }
 
-// Size returns the file's logical size in bytes.
-func (f *File) Size() int64 { return f.size }
-
 // ReadAtAll performs a collective read of count bytes at offset by this
 // rank, modelled on MPI_File_read_at_all: every rank of the communicator
 // must call it, ranks synchronize, and each rank's data is served from its

@@ -160,9 +160,6 @@ func Run(c *cluster.Cluster, np, ppn int, body func(r *Rank)) sim.Time {
 	return c.K.Run()
 }
 
-// Wait blocks p until all ranks have returned from body.
-func (w *World) Wait(p *sim.Proc) { w.wg.Wait(p) }
-
 // Rank returns this process's rank in MPI_COMM_WORLD.
 func (r *Rank) Rank() int { return r.rank }
 

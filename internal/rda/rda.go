@@ -78,9 +78,6 @@ func (j *Job) charge(n int) {
 	j.r.Compute(float64(n) * j.scale * elemCost.Seconds())
 }
 
-// Len returns the global array length.
-func (j *Job) Len() int { return j.n }
-
 // op is a lineage node.
 type op interface {
 	apply(j *Job, a *Array)

@@ -81,20 +81,11 @@ func Run(c *cluster.Cluster, npes, ppn int, body func(pe *PE)) sim.Time {
 	return c.K.Run()
 }
 
-// Wait blocks p until every PE has returned from body.
-func (w *World) Wait(p *sim.Proc) { w.wg.Wait(p) }
-
 // MyPE returns the PE number.
 func (pe *PE) MyPE() int { return pe.id }
 
 // NPEs returns the number of processing elements.
 func (pe *PE) NPEs() int { return pe.world.NPEs }
-
-// Node returns the cluster node hosting this PE.
-func (pe *PE) Node() int { return pe.node }
-
-// Proc exposes the underlying simulated process.
-func (pe *PE) Proc() *sim.Proc { return pe.p }
 
 // Now returns the current virtual time.
 func (pe *PE) Now() sim.Time { return pe.p.Now() }

@@ -34,9 +34,6 @@ func NewChan[T any](k *Kernel, name string, capacity int) *Chan[T] {
 	return &Chan[T]{k: k, name: name, cap: capacity}
 }
 
-// Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
-
 // Send delivers v, blocking in virtual time if no receiver/buffer space is
 // available. Sending on a closed channel panics, as with native channels.
 func (c *Chan[T]) Send(p *Proc, v T) {
