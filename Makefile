@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all fmt build test vet smoke race chaos verify bench benchcmp bench-quick profile experiments ledger ledger-test
+.PHONY: all fmt build test vet smoke race chaos verify profile experiments ledger ledger-test
 
 all: verify
 
@@ -36,8 +36,10 @@ SWEEPS := chaos transport master partition tail overload
 # Builds hpcbd and every example once into $(SMOKE_BIN)/ and runs every
 # hpcbd artifact but the sweeps (those run under `make chaos`) with
 # -quick, in one process, every example bare, and hpcbd's -csv, -json
-# and -plot output paths on fig4 and table2. Fails on any non-zero exit,
-# and on an unknown artifact name or -csv with -json that does not exit 2.
+# and -plot output paths on fig4 and table2, and BenchmarkArtifacts on
+# table1 and fig3 so the benchmark cannot rot. Fails on any non-zero
+# exit, and on an unknown artifact name or -csv with -json that does not
+# exit 2.
 SMOKE_BIN ?= .smoke
 smoke:
 	$(GO) build -o $(SMOKE_BIN)/ ./cmd/hpcbd ./examples/...
@@ -53,14 +55,17 @@ smoke:
 		rc=0; $(SMOKE_BIN)/hpcbd $$c >/dev/null 2>&1 || rc=$$?; \
 		if [ $$rc -ne 2 ]; then echo "smoke: hpcbd $$c exited $$rc, want 2"; exit 1; fi; \
 	done
+	$(GO) test -run '^$$' -bench 'Artifacts/(table1|fig3)$$' -benchtime 1x -short .
 	@echo "smoke: OK"
 
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/... ./internal/mpi/...
-	# The experiment suite in full, twice: sweep points run concurrently
-	# under exec.ForEach, and ScaleSweep's sharded points open parallel
-	# dispatch windows, so the race detector sees both.
+	# The experiment suite in full, twice: Fig 3/4/6/7, the persist
+	# ablation and ScaleSweep run their points concurrently under
+	# exec.ForEach (the six fault sweeps run theirs serially), and
+	# ScaleSweep's sharded points open parallel dispatch windows, so the
+	# race detector sees both.
 	$(GO) test -race -count=2 ./internal/core/...
 
 # Every fault-injection sweep at test scale, each run twice for its
@@ -70,30 +75,6 @@ chaos:
 
 verify: fmt build vet smoke test race chaos
 	@echo "verify: OK"
-
-# Regenerate every paper artifact at full scale (slow), recording host
-# performance (ns/op, allocs, sim-events/sec) to a dated JSON file that
-# `make benchcmp` can diff against a later run.
-BENCH_FILE ?= BENCH_$(shell date +%Y-%m-%d).json
-bench:
-	$(GO) test -json -run '^$$' -bench=. -benchtime=1x -benchmem . > $(BENCH_FILE)
-	@echo "wrote $(BENCH_FILE)"
-
-# Diff two `make bench` recordings; fails if a full-scale figure
-# benchmark's wall clock regressed more than 10% or its allocs/op more
-# than 15%.
-# Usage: make benchcmp OLD=BENCH_2026-08-01.json NEW=BENCH_2026-08-05.json
-benchcmp:
-	$(GO) run ./cmd/benchcmp -max-regress 10 -max-alloc-regress 15 $(OLD) $(NEW)
-
-# Test-scale figure benchmarks diffed against the committed baseline
-# (bench/baseline-quick.txt), so perf regressions surface in seconds
-# instead of after a full-scale run. Allocation counts are deterministic
-# and machine-independent, so they gate tightly (15%); wall clock at
-# quick scale is noisy and only catastrophic slowdowns (>75%) fail.
-bench-quick:
-	$(GO) test -run '^$$' -bench 'Fig4AnswersCount|Fig6PageRankBigDataBench|Fig7PageRankHiBench' -short -benchtime 1x -benchmem . | tee bench-quick-latest.txt
-	$(GO) run ./cmd/benchcmp -max-regress 75 -max-alloc-regress 15 bench/baseline-quick.txt bench-quick-latest.txt
 
 # The repo's benchmark (BENCHMARK.json): every ledger workload end to end,
 # and the ledger's own tests — a nested module, so `go test ./...` from

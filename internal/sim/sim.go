@@ -667,8 +667,8 @@ func (k *Kernel) Events() int64 { return k.nev }
 var totalEvents atomic.Int64
 
 // TotalEvents returns the number of events processed by all completed
-// kernel runs in this process. Benchmarks report deltas of this as
-// sim-events/sec.
+// kernel runs in this process. The ledger reports deltas of this as
+// events per second.
 func TotalEvents() int64 { return totalEvents.Load() }
 
 // Blocked returns the number of processes parked with no pending event.
