@@ -62,10 +62,10 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/rdd/... ./internal/transport/... ./internal/sim/... ./internal/exec/... ./internal/cluster/... ./internal/ha/... ./internal/dfs/... ./internal/mapred/... ./internal/chaos/... ./internal/rm/... ./internal/mpi/...
 	# The experiment suite in full, twice: Fig 3/4/6/7, the persist
-	# ablation and ScaleSweep run their points concurrently under
-	# exec.ForEach (the six fault sweeps run theirs serially), and
-	# ScaleSweep's sharded points open parallel dispatch windows, so the
-	# race detector sees both.
+	# ablation, ScaleSweep and every fault sweep but tail run their points
+	# (a fault sweep: its series or points) concurrently under
+	# exec.ForEach, and ScaleSweep's sharded points open parallel dispatch
+	# windows, so the race detector sees both.
 	$(GO) test -race -count=2 ./internal/core/...
 
 # Every fault-injection sweep at test scale, each run twice for its

@@ -98,6 +98,8 @@ func (f chaosFault) detect() time.Duration {
 // and MPI recovery models. Each series starts failure-free to establish
 // the clean duration T, then injects crashes at MTBF = T, T/2 and T/4 so
 // every job sees a comparable expected failure count regardless of scale.
+// The three series run as concurrent jobs, then the checkpoint-interval
+// points, which need the clean MPI run's duration.
 func ChaosSweep(o Options) ChaosSweepResult {
 	nodes := sweepNodes(o, 4)
 	res := ChaosSweepResult{Nodes: nodes}
@@ -119,12 +121,19 @@ func ChaosSweep(o Options) ChaosSweepResult {
 		})
 	}
 	spare := []int{0} // node 0 hosts the Spark driver and the namenode
-	res.SparkAC = series(spare, func(f chaosFault) ChaosPoint { return sparkACChaos(o, nodes, f) })
-	res.SparkPR = series(spare, func(f chaosFault) ChaosPoint { return sparkPRChaos(o, nodes, f) })
-
 	iters := 8 * o.PRIters
 	ckptEvery := o.PRIters
-	res.MPIPR = series(nil, func(f chaosFault) ChaosPoint { return mpiPRChaos(o, nodes, iters, ckptEvery, f) })
+	runLargestFirst([]job{
+		{2, func() {
+			res.MPIPR = series(nil, func(f chaosFault) ChaosPoint { return mpiPRChaos(o, nodes, iters, ckptEvery, f) })
+		}},
+		{1, func() {
+			res.SparkPR = series(spare, func(f chaosFault) ChaosPoint { return sparkPRChaos(o, nodes, f) })
+		}},
+		{0, func() {
+			res.SparkAC = series(spare, func(f chaosFault) ChaosPoint { return sparkACChaos(o, nodes, f) })
+		}},
+	})
 
 	// Checkpoint-interval series: three crashes at fixed virtual times
 	// (fractions of the clean duration), replayed for each interval.
@@ -134,13 +143,19 @@ func ChaosSweep(o Options) ChaosSweepResult {
 		chaos.Event{At: 6 * cleanT / 10, Node: 2, Kind: chaos.NodeCrash},
 		chaos.Event{At: 9 * cleanT / 10, Node: 3, Kind: chaos.NodeCrash},
 	)}
-	for _, every := range []int{iters, ckptEvery, (ckptEvery + 1) / 2, 1} {
-		pt := mpiPRChaos(o, nodes, iters, every, script)
-		res.Ckpt = append(res.Ckpt, CkptPoint{
-			Every: every, Seconds: pt.Seconds, Completed: pt.Completed,
-			Restarts: pt.Restarts, Checkpoints: pt.Checkpoints, RedoneIters: pt.RedoneIters,
-		})
+	intervals := []int{iters, ckptEvery, (ckptEvery + 1) / 2, 1}
+	res.Ckpt = make([]CkptPoint, len(intervals))
+	var jobs []job
+	for i, every := range intervals {
+		jobs = append(jobs, job{0, func() {
+			pt := mpiPRChaos(o, nodes, iters, every, script)
+			res.Ckpt[i] = CkptPoint{
+				Every: every, Seconds: pt.Seconds, Completed: pt.Completed,
+				Restarts: pt.Restarts, Checkpoints: pt.Checkpoints, RedoneIters: pt.RedoneIters,
+			}
+		}})
 	}
+	runLargestFirst(jobs)
 	return res
 }
 

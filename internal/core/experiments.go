@@ -34,10 +34,19 @@ func Table1() Table {
 
 // Fig3 reproduces the reduce microbenchmark (Fig 3): reduce latency vs
 // message size for MPI, Spark and Spark-RDMA on ReduceNodes x ReducePPN
-// processes. Every (size, series) point is its own job on its own cluster,
-// run largest MPI message first, and the figure is assembled by index, so
-// it is identical at any host parallelism.
-func Fig3(o Options) Figure {
+// processes.
+func Fig3(o Options) Figure { return reduceFigure(o, false) }
+
+// Fig3Extended adds the OpenSHMEM series the paper surveys but does not
+// plot (an extension experiment).
+func Fig3Extended(o Options) Figure { return reduceFigure(o, true) }
+
+// reduceFigure runs Fig 3, with the OpenSHMEM series when shmem is set.
+// Every (size, series) point is its own job on its own cluster, run
+// largest message first (an OpenSHMEM point before the MPI point of its
+// size, as it costs far more host time), and the figure is assembled by
+// index, so it is identical at any host parallelism.
+func reduceFigure(o Options, shmem bool) Figure {
 	fig := Figure{
 		ID:     "fig3",
 		Title:  fmt.Sprintf("Reduce microbenchmark, %d processes (%d/node)", o.ReduceNodes*o.ReducePPN, o.ReducePPN),
@@ -46,13 +55,21 @@ func Fig3(o Options) Figure {
 		XLog:   true,
 		Series: []Series{{Name: "MPI"}, {Name: "Spark"}, {Name: "Spark-RDMA"}},
 	}
+	if shmem {
+		fig.Series = append(fig.Series, Series{Name: "OpenSHMEM"})
+	}
 	np := o.ReduceNodes * o.ReducePPN
-	lat := make([][3]float64, len(o.ReduceSizes))
+	lat := make([][4]float64, len(o.ReduceSizes))
 	var jobs []job
 	for i, size := range o.ReduceSizes {
 		elems := max(int(size/4), 1) // float32 elements
 		// Spark reduces number_of_processes x array_size elements (Fig 2).
 		logical := np * elems
+		if shmem {
+			jobs = append(jobs, job{elems, func() {
+				lat[i][3] = ShmemReduceLatency(newCluster(o.Seed, o.ReduceNodes), np, o.ReducePPN, elems, o.ReduceIters)
+			}})
+		}
 		jobs = append(jobs,
 			job{elems, func() {
 				lat[i][0] = MPIReduceLatency(newCluster(o.Seed, o.ReduceNodes), np, o.ReducePPN, elems, o.ReduceIters)
@@ -70,24 +87,6 @@ func Fig3(o Options) Figure {
 			fig.Series[s].Points = append(fig.Series[s].Points, Point{X: float64(size), Y: lat[i][s], OK: true})
 		}
 	}
-	return fig
-}
-
-// Fig3Extended adds the OpenSHMEM series the paper surveys but does not
-// plot (an extension experiment).
-func Fig3Extended(o Options) Figure {
-	fig := Fig3(o)
-	s := Series{Name: "OpenSHMEM"}
-	np := o.ReduceNodes * o.ReducePPN
-	for _, size := range o.ReduceSizes {
-		elems := int(size / 4)
-		if elems < 1 {
-			elems = 1
-		}
-		lat := ShmemReduceLatency(newCluster(o.Seed, o.ReduceNodes), np, o.ReducePPN, elems, o.ReduceIters)
-		s.Points = append(s.Points, Point{X: float64(size), Y: lat, OK: true})
-	}
-	fig.Series = append(fig.Series, s)
 	return fig
 }
 

@@ -14,9 +14,11 @@ func newGraph(o Options) *workload.Graph {
 	return workload.NewGraph(o.Seed, o.PRPhysVertices, o.PRLogicalVertices, o.PRAvgDegree)
 }
 
-// job is one independent simulation run. size orders jobs by expected
-// cost: the node count for PageRank, the element count for Fig 3's MPI
-// runs, 0 for its Spark runs.
+// job is one independent simulation run, or a fault sweep's series of
+// runs. size orders jobs by expected cost: the node count for PageRank,
+// the element count for Fig 3's MPI and OpenSHMEM runs, 0 for its Spark
+// runs, the storm size for an overload point; the other fault sweeps
+// rank their kinds of job by measured cost.
 type job struct {
 	size int
 	run  func()

@@ -61,9 +61,10 @@ var masterKillFracs = []float64{0.25, 0.5, 0.75}
 
 // MasterSweep runs the control-plane failover experiment: per workload,
 // a clean HA-enabled run establishes the duration T and the output
-// digest oracle, then node 0 is killed at each fraction of T.
-// Deterministic: identical Options produce bit-identical results, which
-// CheckMasterSweep verifies by comparing two runs.
+// digest oracle, then node 0 is killed at each fraction of T. The four
+// series run as concurrent jobs, the plain-MPI one (the costliest)
+// first. Deterministic: identical Options produce bit-identical
+// results, which CheckMasterSweep verifies by comparing two runs.
 func MasterSweep(o Options) MasterSweepResult {
 	nodes := sweepNodes(o, 4)
 	series := func(run ctlRunner) []MasterPoint {
@@ -81,8 +82,14 @@ func MasterSweep(o Options) MasterSweepResult {
 			return kills
 		})
 	}
-	return MasterSweepResult{Nodes: nodes, DFS: series(dfsCtl), SparkAC: series(sparkCtl),
-		HadoopAC: series(hadoopCtl), MPIPlain: series(mpiCtl)}
+	res := MasterSweepResult{Nodes: nodes}
+	runLargestFirst([]job{
+		{1, func() { res.MPIPlain = series(mpiCtl) }},
+		{0, func() { res.DFS = series(dfsCtl) }},
+		{0, func() { res.SparkAC = series(sparkCtl) }},
+		{0, func() { res.HadoopAC = series(hadoopCtl) }},
+	})
+	return res
 }
 
 // MasterTables renders the sweep for display.

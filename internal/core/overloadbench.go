@@ -106,20 +106,27 @@ type OverloadSweepResult struct {
 	MPI       []OverloadMPIPoint
 }
 
-// OverloadSweep runs the full grid. Points run sequentially: each
-// builds a cold cluster, so pool sizing of any outer harness cannot
-// perturb results.
+// OverloadSweep runs the full grid. Every point is a job of its own, the
+// largest storms first, and builds a cold cluster, so neither the job
+// width nor the pool sizing of any outer harness can perturb results.
 func OverloadSweep(o Options) OverloadSweepResult {
 	res := OverloadSweepResult{Nodes: o.OverNodes, Loads: o.OverLoads, Pressures: OverloadPressures}
-	for _, load := range o.OverLoads {
-		for _, frac := range OverloadPressures {
-			res.Off = append(res.Off, overloadPoint(o, load, frac, false))
-			res.On = append(res.On, overloadPoint(o, load, frac, true))
+	np := len(OverloadPressures)
+	res.Off, res.On = make([]OverloadPoint, len(o.OverLoads)*np), make([]OverloadPoint, len(o.OverLoads)*np)
+	res.MPI = make([]OverloadMPIPoint, np)
+	var jobs []job
+	for l, load := range o.OverLoads {
+		for p, frac := range OverloadPressures {
+			i := l*np + p
+			jobs = append(jobs,
+				job{load, func() { res.Off[i] = overloadPoint(o, load, frac, false) }},
+				job{load, func() { res.On[i] = overloadPoint(o, load, frac, true) }})
 		}
 	}
-	for _, frac := range OverloadPressures {
-		res.MPI = append(res.MPI, overloadMPI(o, frac))
+	for p, frac := range OverloadPressures {
+		jobs = append(jobs, job{0, func() { res.MPI[p] = overloadMPI(o, frac) }})
 	}
+	runLargestFirst(jobs)
 	return res
 }
 

@@ -84,8 +84,10 @@ type PartitionSweepResult struct {
 // duration) combination. The window base is floored at 4s of virtual
 // time so even a short clean run leaves room for the transport retry
 // ladder (and for stale minority appends, in the unfenced arm) inside
-// the cut. Deterministic: identical Options produce bit-identical
-// results, which CheckPartitionSweep verifies by comparing two runs.
+// the cut. The five series run as concurrent jobs, the plain-MPI one
+// (the costliest) first. Deterministic: identical Options produce
+// bit-identical results, which CheckPartitionSweep verifies by comparing
+// two runs.
 func PartitionSweep(o Options) PartitionSweepResult {
 	nodes := sweepNodes(o, 6) // room for a minority beyond the leader and both standbys
 	series := func(fenced bool, run ctlRunner) []PartitionPoint {
@@ -111,8 +113,15 @@ func PartitionSweep(o Options) PartitionSweepResult {
 			return cuts
 		})
 	}
-	return PartitionSweepResult{Nodes: nodes, DFSFenced: series(true, dfsCtl), DFSUnfenced: series(false, dfsCtl),
-		SparkAC: series(true, sparkCtl), HadoopAC: series(true, hadoopCtl), MPIPlain: series(false, mpiCtl)}
+	res := PartitionSweepResult{Nodes: nodes}
+	runLargestFirst([]job{
+		{1, func() { res.MPIPlain = series(false, mpiCtl) }},
+		{0, func() { res.DFSFenced = series(true, dfsCtl) }},
+		{0, func() { res.DFSUnfenced = series(false, dfsCtl) }},
+		{0, func() { res.SparkAC = series(true, sparkCtl) }},
+		{0, func() { res.HadoopAC = series(true, hadoopCtl) }},
+	})
+	return res
 }
 
 // PartitionTables renders the sweep for display.

@@ -12,7 +12,8 @@ package core
 //   - sumJob is the small shuffle job the tail and overload sweeps
 //     time;
 //   - faultSeries runs a clean point, then fault points scaled by the
-//     clean run's duration T;
+//     clean run's duration T, in order; the chaos, master and partition
+//     sweeps run each series as one job on runLargestFirst;
 //   - ctlFault is the control-plane fault (a master kill or a leader
 //     cut) of the master and partition sweeps, which share one runner
 //     per workload (dfsCtl, sparkCtl, hadoopCtl, mpiCtl).

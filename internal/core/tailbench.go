@@ -78,7 +78,10 @@ type TailSweepResult struct {
 }
 
 // TailSweep measures tail latency and goodput versus gray-node fraction
-// for both arms, plus the plain-MPI contrast.
+// for both arms, plus the plain-MPI contrast. Unlike the other sweeps'
+// points, these run one after another: a point's live heap is mostly its
+// rdd context's shuffle buckets, and two points in flight raised the
+// chaos ledger workload's peak RSS by 11 % (EXPERIMENTS.md).
 func TailSweep(o Options) TailSweepResult {
 	nodes := max(o.TailNodes, 6)
 	res := TailSweepResult{Nodes: nodes}

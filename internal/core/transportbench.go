@@ -164,31 +164,33 @@ func (pt *TransportPoint) addStats(ss ...transport.Stats) {
 // runtime under message loss, silent corruption and a network partition.
 // Fault coins attach to logical message sequence numbers, so raising a
 // rate strictly grows the fault set and overhead monotonicity is exactly
-// checkable, point by point.
+// checkable, point by point. Every point is a job of its own, in two
+// rounds: the resilient MPI points under loss and the partition windows
+// need a clean run's duration, so they run after the rest.
 func TransportSweep(o Options) TransportSweepResult {
 	nodes := sweepNodes(o, 4)
-	res := TransportSweepResult{Nodes: nodes}
-	for _, r := range TransportLossRates {
+	nl := len(TransportLossRates)
+	res := TransportSweepResult{Nodes: nodes, SparkAC: make([]TransportPoint, nl), HadoopAC: make([]TransportPoint, nl),
+		MPIPlain: make([]TransportPoint, nl), MPIResil: make([]TransportPoint, nl),
+		Corrupt: make([]TransportPoint, len(TransportCorruptRates))}
+	jobs := []job{{2, func() { res.MPIResil[0] = mpiTransportPoint(o, nodes, netSpec{}, true, 0) }}}
+	for i, r := range TransportLossRates {
 		res.LossPcts = append(res.LossPcts, r*100)
-		res.SparkAC = append(res.SparkAC, acTransport(o, nodes, netSpec{loss: r}, sparkAC))
-		res.HadoopAC = append(res.HadoopAC, acTransport(o, nodes, netSpec{loss: r}, hadoopAC))
-		res.MPIPlain = append(res.MPIPlain, mpiTransportPoint(o, nodes, netSpec{loss: r}, false, 0))
+		jobs = append(jobs,
+			job{1, func() { res.MPIPlain[i] = mpiTransportPoint(o, nodes, netSpec{loss: r}, false, 0) }},
+			job{0, func() { res.SparkAC[i] = acTransport(o, nodes, netSpec{loss: r}, sparkAC) }},
+			job{0, func() { res.HadoopAC[i] = acTransport(o, nodes, netSpec{loss: r}, hadoopAC) }})
 	}
-	resilClean := mpiTransportPoint(o, nodes, netSpec{}, true, 0)
-	penalty := chaosRestartPen(virtual(resilClean.Seconds))
-	res.MPIResil = []TransportPoint{resilClean}
-	for _, r := range TransportLossRates[1:] {
-		res.MPIResil = append(res.MPIResil, mpiTransportPoint(o, nodes, netSpec{loss: r}, true, penalty))
-	}
-
 	// Corruption series: the clean point is the same run as the loss
 	// series' baseline, so it is reused rather than re-measured.
-	res.CorruptPcts = append([]float64(nil), 0)
-	res.Corrupt = []TransportPoint{res.SparkAC[0]}
-	for _, r := range TransportCorruptRates[1:] {
+	res.CorruptPcts = []float64{0}
+	for i, r := range TransportCorruptRates[1:] {
 		res.CorruptPcts = append(res.CorruptPcts, r*100)
-		res.Corrupt = append(res.Corrupt, acTransport(o, nodes, netSpec{corrupt: r}, sparkAC))
+		jobs = append(jobs, job{0, func() { res.Corrupt[i+1] = acTransport(o, nodes, netSpec{corrupt: r}, sparkAC) }})
 	}
+	runLargestFirst(jobs)
+	res.Corrupt[0] = res.SparkAC[0]
+	penalty := chaosRestartPen(virtual(res.MPIResil[0].Seconds))
 
 	// The window is placed where each runtime actually talks (in
 	// twentieths of the clean run). Spark front-loads its network
@@ -204,10 +206,18 @@ func TransportSweep(o Options) TransportSweepResult {
 		return netSpec{partFrom: time.Duration(from20) * T / 20,
 			partTo: time.Duration(to20) * T / 20, minority: nodes - 1}
 	}
-	res.PartSpark = acTransport(o, nodes, window(res.SparkAC[0].Seconds, 0, 10), sparkAC)
-	res.PartHadoop = acTransport(o, nodes, window(res.HadoopAC[0].Seconds, 11, 18), hadoopAC)
-	res.PartMPIPlain = mpiTransportPoint(o, nodes, window(res.MPIPlain[0].Seconds, 6, 12), false, 0)
-	res.PartMPIResil = mpiTransportPoint(o, nodes, window(res.MPIResil[0].Seconds, 6, 12), true, penalty)
+	spark, hadoop := window(res.SparkAC[0].Seconds, 0, 10), window(res.HadoopAC[0].Seconds, 11, 18)
+	plain, resil := window(res.MPIPlain[0].Seconds, 6, 12), window(res.MPIResil[0].Seconds, 6, 12)
+	jobs = []job{
+		{1, func() { res.PartMPIResil = mpiTransportPoint(o, nodes, resil, true, penalty) }},
+		{1, func() { res.PartMPIPlain = mpiTransportPoint(o, nodes, plain, false, 0) }},
+		{0, func() { res.PartSpark = acTransport(o, nodes, spark, sparkAC) }},
+		{0, func() { res.PartHadoop = acTransport(o, nodes, hadoop, hadoopAC) }},
+	}
+	for i, r := range TransportLossRates[1:] {
+		jobs = append(jobs, job{1, func() { res.MPIResil[i+1] = mpiTransportPoint(o, nodes, netSpec{loss: r}, true, penalty) }})
+	}
+	runLargestFirst(jobs)
 	return res
 }
 

@@ -12,12 +12,12 @@ import (
 // fans out per-point kernels and a kernel offloading payloads never
 // oversubscribe the host between them.
 //
-// ForEach is the sweep-point runner: figure sweeps build one independent
-// kernel per point (own RNG, own cluster, no shared mutable state), so
-// points can execute concurrently while each kernel individually keeps
-// its serial, deterministic event order. Callers must ensure fn(i) and
-// fn(j) share nothing mutable; assembly of results must be by index,
-// never by completion order.
+// ForEach is the sweep-point runner: the figures and the fault sweeps
+// build one independent kernel per point (own RNG, own cluster, no
+// shared mutable state), so points can execute concurrently while each
+// kernel individually keeps its serial, deterministic event order.
+// Callers must ensure fn(i) and fn(j) share nothing mutable; assembly of
+// results must be by index, never by completion order.
 //
 // A panic in fn(i) does not hang or kill the run: every worker drains,
 // remaining points are skipped, and the panic with the lowest point

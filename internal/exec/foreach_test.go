@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -86,6 +87,10 @@ func TestForEachStopsClaimingAfterPanic(t *testing.T) {
 			if i == 0 {
 				panic("early")
 			}
+			// Each later point takes a little time, so the others cannot
+			// drain every point while the worker that panicked is off CPU
+			// before its panic is recorded.
+			time.Sleep(10 * time.Microsecond)
 		})
 	}()
 	// Workers drain their claimed points and stop: the run must not have

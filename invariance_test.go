@@ -118,12 +118,16 @@ func TestFig7PoolInvariance(t *testing.T)   { invariant(t, "fig7", pool8) }
 func TestFig7WidthInvariance(t *testing.T)  { invariant(t, "fig7", host{width: 4}) }
 func TestFig7FusionInvariance(t *testing.T) { invariant(t, "fig7", host{unfused: true}) }
 
-func TestChaosSweepPoolInvariance(t *testing.T)     { invariant(t, "chaos", pool8) }
-func TestTransportSweepPoolInvariance(t *testing.T) { invariant(t, "transport", pool8) }
-func TestMasterSweepPoolInvariance(t *testing.T)    { invariant(t, "master", pool8) }
-func TestPartitionSweepPoolInvariance(t *testing.T) { invariant(t, "partition", pool8) }
-func TestTailSweepPoolInvariance(t *testing.T)      { invariant(t, "tail", pool8) }
-func TestOverloadSweepPoolInvariance(t *testing.T)  { invariant(t, "overload", pool8) }
+// The sweeps' rows run 8 payload workers and four sweep jobs (series or
+// points) at a time, one at a time in the reference.
+var sweepHost = host{pool: 8, width: 4}
+
+func TestChaosSweepPoolInvariance(t *testing.T)     { invariant(t, "chaos", sweepHost) }
+func TestTransportSweepPoolInvariance(t *testing.T) { invariant(t, "transport", sweepHost) }
+func TestMasterSweepPoolInvariance(t *testing.T)    { invariant(t, "master", sweepHost) }
+func TestPartitionSweepPoolInvariance(t *testing.T) { invariant(t, "partition", sweepHost) }
+func TestTailSweepPoolInvariance(t *testing.T)      { invariant(t, "tail", sweepHost) }
+func TestOverloadSweepPoolInvariance(t *testing.T)  { invariant(t, "overload", sweepHost) }
 
 // The sweeps build one-shard, serial-dispatch clusters, so the worker
 // rows of the master and overload sweeps run their plain-MPI arms on
