@@ -89,11 +89,19 @@ ledger-test:
 # AnswersCount (Fig 4) and reduce microbenchmark (Fig 3) regenerations —
 # the starting point for perf work.
 # Inspect with: $(GO) tool pprof profiles/pagerank.cpu.pprof
+# The memory profiles count allocations and cannot show a live-heap peak.
+# profiles/figures.gctrace can: it is the GC trace (GODEBUG=gctrace=1,
+# stderr) of the figures the ledger's `figures` workload runs, in one
+# process. Each GC's `A->B->C MB` reads heap at start, at end and live;
+# under gctune's GOGC 300 the heap goal, and so about the peak RSS, is 4x
+# the largest live C.
 profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/hpcbd -cpuprofile profiles/pagerank.cpu.pprof -memprofile profiles/pagerank.mem.pprof fig6 fig7
 	$(GO) run ./cmd/hpcbd -cpuprofile profiles/answerscount.cpu.pprof -memprofile profiles/answerscount.mem.pprof fig4
 	$(GO) run ./cmd/hpcbd -cpuprofile profiles/reduce.cpu.pprof -memprofile profiles/reduce.mem.pprof fig3
+	$(GO) build -o profiles/hpcbd ./cmd/hpcbd
+	GODEBUG=gctrace=1 profiles/hpcbd fig3 table2 fig4 fig6 fig7 >/dev/null 2>profiles/figures.gctrace
 	@echo "profiles written to profiles/"
 
 # The six fault-injection sweeps at paper scale.

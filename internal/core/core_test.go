@@ -55,6 +55,28 @@ func TestFig3ExtendedHasSHMEMSeries(t *testing.T) {
 	}
 }
 
+// TestMPIReduceLatencyPinsOneMessage runs Fig 3's 1 MiB MPI point (64
+// ranks at 8 per node, 262,144 float32 elements, one iteration) between
+// two GCs. Its ranks share one 2 MiB input, not one each (128 MiB), and
+// its 2 MiB leaf snapshots die with the world instead of staying alive in
+// a process-wide pool's victim cache (64 MiB) after the run.
+func TestMPIReduceLatencyPinsOneMessage(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if lat := MPIReduceLatency(newCluster(1, 8), 64, 8, 1<<18, 1); lat <= 0 {
+		t.Fatalf("latency %v, want > 0", lat)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live >= 8<<20 {
+		t.Errorf("live heap grew %.1f MiB across the run, want < 8 MiB", float64(live)/(1<<20))
+	}
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 80<<20 {
+		t.Errorf("run allocated %.1f MiB, want < 80 MiB", float64(total)/(1<<20))
+	}
+}
+
 func TestTable2ShapeHolds(t *testing.T) {
 	o := Quick()
 	vals := Table2Values(o)

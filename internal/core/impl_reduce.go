@@ -18,16 +18,20 @@ import (
 // MPIReduceLatency measures the OSU-style reduce latency: every rank holds
 // a float32 array of elems elements; MPI_Reduce sums them element-wise at
 // root. Returns seconds per operation.
+//
+// All ranks reduce one shared input slice, so the host holds one array,
+// not np of them: Reduce only reads its input, its virtual time depends
+// only on the input's length, and nothing reads the sums.
 func MPIReduceLatency(c *cluster.Cluster, np, ppn, elems, iters int) float64 {
 	var perOp float64
+	data := make([]float64, elems) // float32 semantics: elemBytes=4
+	for i := range data {
+		data[i] = float64(i)
+	}
 	// bp:begin
 	mpi.Launch(c, np, ppn, func(r *mpi.Rank) {
 		w := r.World()
 		// bp:end
-		data := make([]float64, elems) // float32 semantics: elemBytes=4
-		for i := range data {
-			data[i] = float64(r.Rank() + i)
-		}
 		w.Barrier(r)
 		start := r.Now()
 		for it := 0; it < iters; it++ {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"hpcbd/internal/scratch"
@@ -137,7 +138,7 @@ func (c *Comm) Reduce(r *Rank, root int, data []float64, op ReduceOp, elemBytes 
 		if rel&mask != 0 {
 			// Send accumulator to the partner below and exit.
 			if acc == nil {
-				acc = snapshot(data)
+				acc = c.world.snapshot(data)
 			}
 			c.Send(r, ((rel-mask)+root)%n, tagReduce+mask, acc, bytes)
 			return nil
@@ -162,21 +163,60 @@ func (c *Comm) Reduce(r *Rank, root int, data []float64, op ReduceOp, elemBytes 
 	// and recycles its accumulator, which may be a far larger pooled
 	// buffer than the result needs.
 	out := append([]float64(nil), *acc...)
-	scratch.PutF64(acc)
+	c.world.putF64(acc)
 	return out
 }
 
 // Payloads travel by reference in the simulator, so what a reduction
-// sends is a pooled snapshot that travels with its message: the sender
-// does not touch it after Send, and the receiver returns it to the pool
-// once used. A *[]float64 also boxes into Message.Payload without
-// allocating, which a slice header does not.
+// sends is a recycled snapshot that travels with its message: the sender
+// does not touch it after Send, and the receiver recycles it once used.
+// A *[]float64 also boxes into Message.Payload without allocating, which
+// a slice header does not.
+//
+// Snapshots of up to pooledF64 elements (every small Allreduce) come from
+// scratch's process-wide pool. Larger ones, rendezvous-size at the
+// default eager threshold, come from a free list owned by the world: it
+// hands out any buffer whose capacity covers the request, and its
+// megabyte buffers die with the world instead of staying alive in the
+// pool's victim cache through the next GC, where they would raise the
+// heap goal of whatever runs next.
+const pooledF64 = ringThreshold / 8
 
-// snapshot copies v into a pooled buffer for sending.
-func snapshot(v []float64) *[]float64 {
-	p := scratch.F64(len(v))
+// snapshot copies v into a recycled buffer for sending.
+func (w *World) snapshot(v []float64) *[]float64 {
+	p := w.f64(len(v))
 	copy(*p, v)
 	return p
+}
+
+// f64 returns a length-n float64 buffer with arbitrary contents.
+// Release with putF64.
+func (w *World) f64(n int) *[]float64 {
+	if n <= pooledF64 {
+		return scratch.F64(n)
+	}
+	w.bigMu.Lock()
+	defer w.bigMu.Unlock()
+	for i, p := range w.bigF64 {
+		if cap(*p) >= n {
+			w.bigF64 = slices.Delete(w.bigF64, i, i+1)
+			*p = (*p)[:n]
+			return p
+		}
+	}
+	s := make([]float64, n)
+	return &s
+}
+
+// putF64 recycles a buffer from f64 to the source its length selects.
+func (w *World) putF64(p *[]float64) {
+	if len(*p) <= pooledF64 {
+		scratch.PutF64(p)
+		return
+	}
+	w.bigMu.Lock()
+	w.bigF64 = append(w.bigF64, p)
+	w.bigMu.Unlock()
 }
 
 // fold sets dst[i] = op(a[i], b[i]); dst may alias a or b.
@@ -197,7 +237,7 @@ func fold(dst, a, b []float64, op ReduceOp) {
 // other)), recycles the snapshot and charges the arithmetic to the rank.
 func combine(r *Rank, acc []float64, other *[]float64, op ReduceOp) {
 	fold(acc, acc, *other, op)
-	scratch.PutF64(other)
+	r.world.putF64(other)
 	r.p.Sleep(time.Duration(len(acc)) * r.cost().ReduceFlopTime)
 }
 
@@ -243,7 +283,7 @@ func (c *Comm) rdAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64
 	// Pre-phase: ranks >= pof2 send their data into the power-of-two set.
 	newRank := me
 	if me >= pof2 {
-		c.Send(r, me-pof2, tagReduce, snapshot(acc), bytes)
+		c.Send(r, me-pof2, tagReduce, c.world.snapshot(acc), bytes)
 		newRank = -1
 	} else if me < rem {
 		m := c.Recv(r, me+pof2, tagReduce)
@@ -253,7 +293,7 @@ func (c *Comm) rdAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64
 	if newRank >= 0 {
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := newRank ^ mask
-			m := c.Sendrecv(r, partner, tagReduce+mask, snapshot(acc), bytes, partner, tagReduce+mask)
+			m := c.Sendrecv(r, partner, tagReduce+mask, c.world.snapshot(acc), bytes, partner, tagReduce+mask)
 			combine(r, acc, m.Payload.(*[]float64), op)
 		}
 	}
@@ -263,9 +303,9 @@ func (c *Comm) rdAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int64
 		m := c.Recv(r, me-pof2, tagReduce+1<<27)
 		res := m.Payload.(*[]float64)
 		copy(acc, *res)
-		scratch.PutF64(res)
+		c.world.putF64(res)
 	} else if me < rem {
-		c.Send(r, me+pof2, tagReduce+1<<27, snapshot(acc), bytes)
+		c.Send(r, me+pof2, tagReduce+1<<27, c.world.snapshot(acc), bytes)
 	}
 	return acc
 }
@@ -294,17 +334,17 @@ func (c *Comm) ringAllreduce(r *Rank, data []float64, op ReduceOp, elemBytes int
 	for step := 0; step < n-1; step++ {
 		sendIdx := (me - step + n) % n
 		recvIdx := (me - step - 1 + n) % n
-		m := c.Sendrecv(r, next, tagRing+step, snapshot(chunk(sendIdx)), chunkBytes(sendIdx), prev, tagRing+step)
+		m := c.Sendrecv(r, next, tagRing+step, c.world.snapshot(chunk(sendIdx)), chunkBytes(sendIdx), prev, tagRing+step)
 		combine(r, chunk(recvIdx), m.Payload.(*[]float64), op)
 	}
 	// Allgather.
 	for step := 0; step < n-1; step++ {
 		sendIdx := (me + 1 - step + n) % n
 		recvIdx := (me - step + n) % n
-		m := c.Sendrecv(r, next, tagRing+(1<<20)+step, snapshot(chunk(sendIdx)), chunkBytes(sendIdx), prev, tagRing+(1<<20)+step)
+		m := c.Sendrecv(r, next, tagRing+(1<<20)+step, c.world.snapshot(chunk(sendIdx)), chunkBytes(sendIdx), prev, tagRing+(1<<20)+step)
 		in := m.Payload.(*[]float64)
 		copy(chunk(recvIdx), *in)
-		scratch.PutF64(in)
+		c.world.putF64(in)
 	}
 	return acc
 }

@@ -15,6 +15,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"hpcbd/internal/cluster"
@@ -48,6 +49,12 @@ type World struct {
 	commTimeout time.Duration
 	lostMsgs    int64 // messages dropped with no retry (plain world)
 	commFaults  int64 // retransmissions performed (resilient world)
+
+	// Free list of collective snapshot buffers above pooledF64 elements
+	// (see World.f64). Locked: under a raised eager threshold, confined
+	// ranks in parallel windows could reach it from several threads.
+	bigMu  sync.Mutex
+	bigF64 []*[]float64
 }
 
 // Done reports whether every rank has returned from its body — false

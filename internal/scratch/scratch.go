@@ -1,6 +1,10 @@
 // Package scratch provides sync.Pool-backed scratch buffers for the
-// shuffle hot paths of the rdd and mapred engines and for the payloads
-// of the MPI reduction collectives.
+// shuffle hot paths of the rdd and mapred engines and for the small
+// payloads of the MPI reduction collectives. The mpi package keeps
+// snapshots above 64 KiB (8,192 float64s) out of this pool, on a free
+// list owned by each MPI world: a pool's victim cache keeps what it holds
+// alive through the next GC, and megabyte buffers held there raised the
+// heap goal of whatever ran next.
 //
 // The shuffle rewrites (two-pass bucketize, open-addressing combiners,
 // hash-cached sorts) all need transient integer arrays — per-record
